@@ -16,6 +16,11 @@
 //	nbos-sim -scenario campus-diurnal -faults heavy  # ... under a chaos schedule
 //	nbos-sim -exp fault-sweep           # fault intensity x policy x federation
 //	nbos-sim -exp all [-jobs 8]
+//	nbos-sim -scenario campus-diurnal -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole run (read
+// them with go tool pprof); they are off by default and never change the
+// printed output.
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"notebookos/internal/experiments"
@@ -41,62 +47,106 @@ func main() {
 		stream   = flag.Bool("stream", false, "synthesize sessions lazily per shard (sim.RunStreamSharded) instead of replaying a materialized trace; identical output at -shards 1, bounded memory at any scale")
 		scenario = flag.String("scenario", "", "run one declarative workload scenario through every policy: a built-in name (see trace.BuiltinScenarios) or a JSON trace.ScenarioSpec file; honors -seed/-quick/-shards/-stream")
 		faults   = flag.String("faults", "", "with -scenario: inject a deterministic fault schedule — a built-in profile (light, heavy, az-outage) or a JSON trace.FaultSpec file; overrides the scenario's own faults block (docs/FAULTS.md)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile, taken when the run ends, to this file")
 	)
 	flag.Parse()
 
-	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, LegacyShards: *legacy, Stream: *stream}
-	if *faults != "" {
-		if *scenario == "" {
-			fmt.Fprintln(os.Stderr, "-faults requires -scenario (fault sweeps over the figure experiments run via -exp fault-sweep)")
-			os.Exit(2)
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		f, err := trace.ResolveFaults(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults %s: %v\n", *faults, err)
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 			os.Exit(1)
+		}
+	}
+	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, LegacyShards: *legacy, Stream: *stream}
+	code := run(o, *exp, *scenario, *faults, *list, *jobs)
+	if *cpuProf != "" {
+		pprof.StopCPUProfile()
+	}
+	if *memProf != "" {
+		if err := writeHeapProfile(*memProf); err != nil {
+			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// writeHeapProfile writes the heap profile after a GC, so its in-use
+// figures show what the run still retains.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// run executes the command line's listing, scenario or experiment and
+// returns the process exit code. It never calls os.Exit, so main can
+// close the profiles first.
+func run(o experiments.Options, exp, scenario, faults string, list bool, jobs int) int {
+	if faults != "" {
+		if scenario == "" {
+			fmt.Fprintln(os.Stderr, "-faults requires -scenario (fault sweeps over the figure experiments run via -exp fault-sweep)")
+			return 2
+		}
+		f, err := trace.ResolveFaults(faults)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "faults %s: %v\n", faults, err)
+			return 1
 		}
 		o.Faults = &f
 	}
-	if *scenario != "" {
+	if scenario != "" {
 		t0 := time.Now()
-		out, err := experiments.ScenarioReport(*scenario, o)
+		out, err := experiments.ScenarioReport(scenario, o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", *scenario, err)
-			os.Exit(1)
+			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", scenario, err)
+			return 1
 		}
 		fmt.Print(out)
-		fmt.Printf("[scenario %s completed in %.1fs]\n\n", *scenario, time.Since(t0).Seconds())
-		return
+		fmt.Printf("[scenario %s completed in %.1fs]\n\n", scenario, time.Since(t0).Seconds())
+		return 0
 	}
 
-	if *list || *exp == "" {
+	if list || exp == "" {
 		fmt.Println("experiments:")
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
 		}
-		if *exp == "" && !*list {
-			os.Exit(2)
+		if exp == "" && !list {
+			return 2
 		}
-		return
+		return 0
 	}
 
-	if *exp == "all" {
-		runAll(o, *jobs)
-		return
+	if exp == "all" {
+		return runAll(o, jobs)
 	}
-	e, ok := experiments.ByID(*exp)
+	e, ok := experiments.ByID(exp)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", exp)
+		return 2
 	}
 	t0 := time.Now()
 	out, err := e.Run(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Print(out)
 	fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(t0).Seconds())
+	return 0
 }
 
 // runAll executes every experiment with up to jobs running concurrently.
@@ -104,7 +154,8 @@ func main() {
 // sequential run (simulations are seed-deterministic regardless of
 // scheduling) — and stream as soon as every earlier experiment has
 // printed, rather than buffering behind the slowest of the whole suite.
-func runAll(o experiments.Options, jobs int) {
+// It returns the process exit code.
+func runAll(o experiments.Options, jobs int) int {
 	all := experiments.All()
 	if jobs < 1 {
 		jobs = 1
@@ -135,9 +186,10 @@ func runAll(o experiments.Options, jobs int) {
 		r := results[i]
 		if r.err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, r.err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(r.out)
 		fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, r.took.Seconds())
 	}
+	return 0
 }

@@ -187,8 +187,14 @@ func scenarios() []scenario {
 		// allocation-lean merges are sized against. Its deterministic
 		// metrics gate like any other scenario; its B/op column is the
 		// first place a metrics-layer allocation regression shows up.
+		//
+		// placement_host_visits gates the placement work: the hosts every
+		// least-loaded SelectHosts call visited, summed over the shards.
+		// It is a deterministic work counter, so an index regression that
+		// falls back toward full scans fails the gate like a changed
+		// output would.
 		{"summer-10d-quick", func(b *testing.B, _, summer *trace.Trace) map[string]float64 {
-			var saved, tasks float64
+			var saved, tasks, visits float64
 			for i := 0; i < b.N; i++ {
 				res, err := sim.RunSharded(sim.Config{Trace: summer, Policy: sim.PolicyNotebookOS, Hosts: 30, Seed: 42}, 2)
 				if err != nil {
@@ -197,8 +203,9 @@ func scenarios() []scenario {
 				reserved := summer.ReservedGPUs().Integral(summer.Start, summer.End)
 				saved = reserved - res.ProvisionedGPUs.Integral(summer.Start, summer.End)
 				tasks = float64(res.Tasks)
+				visits = float64(res.PlacementHostVisits)
 			}
-			return map[string]float64{"gpuh_saved": saved, "tasks": tasks}
+			return map[string]float64{"gpuh_saved": saved, "tasks": tasks, "placement_host_visits": visits}
 		}},
 		// stream-million-90d-2shards is the scale canary: the full 90-day
 		// ~1M-session workload simulated through the bounded-memory
@@ -208,7 +215,8 @@ func scenarios() []scenario {
 		// other metric; peak_heap_bytes is machine- and GC-timing-dependent
 		// and stays informational (the _bytes suffix exempts it from the
 		// drift gate), with the hard sublinearity assertion living in the
-		// sim package's TestMillionSessionStreamCanary.
+		// sim package's TestMillionSessionStreamCanary. placement_host_visits
+		// gates the placement work as in summer-10d-quick.
 		{"stream-million-90d-2shards", func(b *testing.B, _, _ *trace.Trace) map[string]float64 {
 			var res *sim.Result
 			var err error
@@ -227,10 +235,11 @@ func scenarios() []scenario {
 				}
 			}
 			return map[string]float64{
-				"sessions":        float64(res.Sessions),
-				"tasks":           float64(res.Tasks),
-				"reserved_gpuh":   res.ReservedGPUHours,
-				"peak_heap_bytes": float64(peak),
+				"sessions":              float64(res.Sessions),
+				"tasks":                 float64(res.Tasks),
+				"reserved_gpuh":         res.ReservedGPUHours,
+				"peak_heap_bytes":       float64(peak),
+				"placement_host_visits": float64(res.PlacementHostVisits),
 			}
 		}},
 		// scenario-campus-2shards-stream pins the declarative scenario lab:

@@ -14,13 +14,16 @@ import (
 // has three replicas (§3.1; R=5 costs too much, R=2 is unsupported by Raft).
 const DefaultReplicasPerKernel = 3
 
-// aggregates holds the cluster-wide incremental GPU counters. Mutations
-// happen under the owning host's lock (see Host.committedGPUs); atomics
-// make the reads lock-free without taking host or cluster locks.
+// aggregates holds the cluster-wide incremental counters. Mutations
+// happen under the owning host's lock (see Host.ledger); atomics make the
+// reads lock-free without taking host or cluster locks.
 type aggregates struct {
 	totalGPUs      atomic.Int64
 	subscribedGPUs atomic.Int64
 	committedGPUs  atomic.Int64
+	// emptyHosts counts member hosts with no replicas and nothing
+	// committed — the hosts a scale-in may retire.
+	emptyHosts atomic.Int64
 }
 
 // Host is one GPU server.
@@ -39,16 +42,33 @@ type Host struct {
 	mu         sync.Mutex
 	subscribed resources.Spec
 	replicas   map[string]resources.Spec
-	// committedGPUs is the host's own ledger of committed GPUs, updated
-	// under mu by the pool observers. attach/detach read it (also under
-	// mu) instead of snapshotting the pool, so a commit/release delta and
-	// a membership change can never interleave in a way that makes the
-	// cluster counters drift: every delta lands in the ledger exactly
-	// once, and in the aggregates exactly when the host is attached.
-	committedGPUs int
-	// agg points at the owning cluster's counters while the host is a
-	// member; nil otherwise.
-	agg *aggregates
+	// removed counts deletions from replicas since it was last rebuilt
+	// (see compactReplicas).
+	removed int
+	// ledger is the host's own record of committed resources, updated
+	// under mu by the pool observers in commit/release order. attach and
+	// detach read it (also under mu) instead of snapshotting the pool, so
+	// a commit/release delta and a membership change can never interleave
+	// in a way that makes the cluster counters drift: every delta lands in
+	// the ledger exactly once, and in the aggregates exactly when the host
+	// is attached.
+	ledger resources.Spec
+	// Lock-free mirrors of the load, written under mu together with the
+	// fields they mirror and read without any lock (SubscribedGPUs,
+	// IdleGPUs, Empty).
+	subGPUs atomic.Int64
+	comGPUs atomic.Int64
+	empty   atomic.Bool
+	// c is the owning cluster while the host is a member; nil otherwise.
+	c *Cluster
+	// slot is the host's entry in the owning cluster's load index plus
+	// one; 0 while unindexed. Written with both mu and the cluster's idxMu
+	// held.
+	slot int32
+	// stale is set when the host's load changed after its index entry was
+	// last filed, so the entry is queued for refiling exactly once until
+	// the next walk refiles it (loadindex.go).
+	stale atomic.Bool
 	// released is invoked (without locks held) after every successful
 	// Release while the host is a cluster member; the cluster forwards it
 	// to capacity wait-queues.
@@ -63,6 +83,7 @@ func NewHost(id string, capacity resources.Spec) *Host {
 		committed: resources.NewPool(capacity),
 		replicas:  map[string]resources.Spec{},
 	}
+	h.empty.Store(true)
 	h.committed.Observe(h.onCommitted, h.onReleased)
 	return h
 }
@@ -78,19 +99,23 @@ func (h *Host) Devices() *gpu.Pool {
 
 func (h *Host) onCommitted(req resources.Spec) {
 	h.mu.Lock()
-	h.committedGPUs += req.GPUs
-	if h.agg != nil {
-		h.agg.committedGPUs.Add(int64(req.GPUs))
+	h.ledger = h.ledger.Add(req)
+	h.comGPUs.Store(int64(h.ledger.GPUs))
+	if h.c != nil {
+		h.c.agg.committedGPUs.Add(int64(req.GPUs))
 	}
+	h.loadChanged()
 	h.mu.Unlock()
 }
 
 func (h *Host) onReleased(req resources.Spec) {
 	h.mu.Lock()
-	h.committedGPUs -= req.GPUs
-	if h.agg != nil {
-		h.agg.committedGPUs.Add(-int64(req.GPUs))
+	h.ledger = h.ledger.Sub(req)
+	h.comGPUs.Store(int64(h.ledger.GPUs))
+	if h.c != nil {
+		h.c.agg.committedGPUs.Add(-int64(req.GPUs))
 	}
+	h.loadChanged()
 	released := h.released
 	h.mu.Unlock()
 	if released != nil {
@@ -98,27 +123,56 @@ func (h *Host) onReleased(req resources.Spec) {
 	}
 }
 
-// attach makes the host contribute to a cluster's aggregate counters and
-// wires its release notifier. Called by Cluster.AddHost.
-func (h *Host) attach(agg *aggregates, released func()) {
+// loadChanged propagates a change of the host's subscription or ledger
+// to its emptiness flag, the owning cluster's empty-host count and the
+// cluster's load index. Called with h.mu held, after the change.
+func (h *Host) loadChanged() {
+	empty := len(h.replicas) == 0 && h.ledger.IsZero()
+	if empty != h.empty.Load() {
+		h.empty.Store(empty)
+		if h.c != nil {
+			if empty {
+				h.c.agg.emptyHosts.Add(1)
+			} else {
+				h.c.agg.emptyHosts.Add(-1)
+			}
+		}
+	}
+	if h.slot != 0 && !h.stale.Swap(true) {
+		h.c.queueRefile(h.slot - 1)
+	}
+}
+
+// attach makes the host contribute to c's aggregate counters (and its
+// load index, once built) and wires its release notifier. Called by
+// Cluster.AddHost.
+func (h *Host) attach(c *Cluster) {
 	h.mu.Lock()
-	h.agg = agg
-	h.released = released
-	agg.totalGPUs.Add(int64(h.Capacity.GPUs))
-	agg.subscribedGPUs.Add(int64(h.subscribed.GPUs))
-	agg.committedGPUs.Add(int64(h.committedGPUs))
+	h.c = c
+	h.released = c.capacityFreed
+	c.agg.totalGPUs.Add(int64(h.Capacity.GPUs))
+	c.agg.subscribedGPUs.Add(int64(h.subscribed.GPUs))
+	c.agg.committedGPUs.Add(int64(h.ledger.GPUs))
+	if h.empty.Load() {
+		c.agg.emptyHosts.Add(1)
+	}
+	c.indexHost(h)
 	h.mu.Unlock()
 }
 
-// detach reverses attach. Called by Cluster.RemoveHost.
+// detach reverses attach. Called by Cluster.RemoveHost and CrashHost.
 func (h *Host) detach() {
 	h.mu.Lock()
-	if agg := h.agg; agg != nil {
-		agg.totalGPUs.Add(-int64(h.Capacity.GPUs))
-		agg.subscribedGPUs.Add(-int64(h.subscribed.GPUs))
-		agg.committedGPUs.Add(-int64(h.committedGPUs))
+	if c := h.c; c != nil {
+		c.agg.totalGPUs.Add(-int64(h.Capacity.GPUs))
+		c.agg.subscribedGPUs.Add(-int64(h.subscribed.GPUs))
+		c.agg.committedGPUs.Add(-int64(h.ledger.GPUs))
+		if h.empty.Load() {
+			c.agg.emptyHosts.Add(-1)
+		}
+		c.unindexHost(h)
 	}
-	h.agg = nil
+	h.c = nil
 	h.released = nil
 	h.mu.Unlock()
 }
@@ -138,9 +192,11 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	}
 	h.replicas[replicaID] = req
 	h.subscribed = h.subscribed.Add(req)
-	if h.agg != nil {
-		h.agg.subscribedGPUs.Add(int64(req.GPUs))
+	h.subGPUs.Store(int64(h.subscribed.GPUs))
+	if h.c != nil {
+		h.c.agg.subscribedGPUs.Add(int64(req.GPUs))
 	}
+	h.loadChanged()
 	return nil
 }
 
@@ -153,11 +209,30 @@ func (h *Host) RemoveReplica(replicaID string) error {
 		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
 	}
 	delete(h.replicas, replicaID)
-	h.subscribed = h.subscribed.Sub(req)
-	if h.agg != nil {
-		h.agg.subscribedGPUs.Add(-int64(req.GPUs))
+	if h.removed++; h.removed > 4*len(h.replicas)+64 {
+		h.compactReplicas()
 	}
+	h.subscribed = h.subscribed.Sub(req)
+	h.subGPUs.Store(int64(h.subscribed.GPUs))
+	if h.c != nil {
+		h.c.agg.subscribedGPUs.Add(-int64(req.GPUs))
+	}
+	h.loadChanged()
 	return nil
+}
+
+// compactReplicas rebuilds the replica map. A long-lived host sees a
+// stream of placements and removals over a small live set, and the
+// deleted slots a map keeps make every later lookup probe further;
+// rebuilding after a number of deletions proportional to the live set
+// keeps lookups short at O(1) amortized cost. Called with h.mu held.
+func (h *Host) compactReplicas() {
+	m := make(map[string]resources.Spec, len(h.replicas))
+	for k, v := range h.replicas {
+		m[k] = v
+	}
+	h.replicas = m
+	h.removed = 0
 }
 
 // HasReplica reports whether the replica is subscribed on this host.
@@ -202,19 +277,15 @@ func (h *Host) Subscribed() resources.Spec {
 	return h.subscribed
 }
 
-// SubscribedGPUs returns the host's subscribed GPU count.
+// SubscribedGPUs returns the host's subscribed GPU count. Lock-free.
 func (h *Host) SubscribedGPUs() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.subscribed.GPUs
+	return int(h.subGPUs.Load())
 }
 
 // SubscriptionRatio returns S/(G*R) for this host (paper §3.4.1), where S
 // is subscribed GPUs, G the host's GPU count, and R replicas per kernel.
 func (h *Host) SubscriptionRatio(replicasPerKernel int) float64 {
-	h.mu.Lock()
-	s := h.subscribed.GPUs
-	h.mu.Unlock()
+	s := h.SubscribedGPUs()
 	g := h.Capacity.GPUs
 	if g == 0 || replicasPerKernel == 0 {
 		return 0
@@ -245,9 +316,16 @@ func (h *Host) Committed() resources.Spec {
 	return h.committed.Committed()
 }
 
-// IdleGPUs returns GPUs not exclusively committed right now.
+// IdleGPUs returns GPUs not exclusively committed right now, read
+// lock-free from the host's own ledger.
 func (h *Host) IdleGPUs() int {
-	return h.Capacity.GPUs - h.committed.Committed().GPUs
+	return h.Capacity.GPUs - int(h.comGPUs.Load())
+}
+
+// Empty reports whether the host holds no replicas and nothing committed
+// (the hosts a scale-in may retire). Lock-free.
+func (h *Host) Empty() bool {
+	return h.empty.Load()
 }
 
 // Cluster is the set of hosts plus cluster-wide SR accounting.
@@ -263,6 +341,13 @@ type Cluster struct {
 	// notifier is invoked after every capacity-freeing transition
 	// (AddHost, or any member host's Release).
 	notifier func()
+
+	// The load index (loadindex.go) is built on the first
+	// SelectLeastLoaded; idxMu guards it and is only ever taken after a
+	// host's mu, never before.
+	indexOnce sync.Once
+	idxMu     sync.Mutex
+	idx       *loadIndex
 }
 
 // New returns an empty cluster with the given replication factor R.
@@ -309,7 +394,7 @@ func (c *Cluster) AddHost(h *Host) error {
 	c.hosts[h.ID] = h
 	c.list = append(append(make([]*Host, 0, len(c.list)+1), c.list...), h)
 	c.mu.Unlock()
-	h.attach(&c.agg, c.capacityFreed)
+	h.attach(c)
 	c.capacityFreed()
 	return nil
 }
@@ -397,6 +482,13 @@ func (c *Cluster) ForEachHost(fn func(*Host) bool) {
 			return
 		}
 	}
+}
+
+// EmptyHosts returns the number of member hosts with no replicas and
+// nothing committed. O(1): maintained incrementally on every place,
+// remove, commit, release and membership change.
+func (c *Cluster) EmptyHosts() int {
+	return int(c.agg.emptyHosts.Load())
 }
 
 // NumHosts returns the number of hosts.

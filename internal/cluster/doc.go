@@ -11,5 +11,26 @@
 // Release, AddHost, and RemoveHost updates atomic counters, so TotalGPUs,
 // SubscribedGPUs, CommittedGPUs, and SRLimit are O(1) instead of O(hosts)
 // scans. The invariant — counters always equal a from-scratch recount over
-// the member hosts — is enforced by a property test.
+// the member hosts — is enforced by a property test. EmptyHosts, the count
+// of member hosts with no replicas and nothing committed, is kept the same
+// way, so the autoscalers' scale-in paths skip their scans when it is zero.
+//
+// Least-loaded placement walks a load index instead of scanning the hosts
+// (loadindex.go). The index orders hosts exactly as scheduler.LeastLoaded
+// ranks them: idle GPUs descending, then post-placement subscription ratio
+// ascending, then host ID ascending. It keeps one class per host capacity,
+// one level per committed-GPU count and one ID-sorted bucket per
+// subscribed-GPU count; SelectLeastLoaded walks it, merging the classes
+// per request. It is built lazily on the first SelectLeastLoaded, so
+// clusters that never place least-loaded pay nothing, and then updated in
+// place by PlaceReplica, RemoveReplica, Commit, Release, AddHost,
+// RemoveHost and CrashHost.
+//
+// Locking contract: writers mutate a host under its mu and, still under
+// it, update the host's atomic load mirrors, the cluster aggregates, the
+// empty-host count and the index. Readers are lock-free:
+// Host.SubscribedGPUs, Host.IdleGPUs (from the host's own commitment
+// ledger) and Host.Empty read the atomics. The index lock is always taken
+// after a host's mu, never before, and a walk holds only the index lock,
+// so the lock order is cluster mu, then host mu, then index lock.
 package cluster

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/resources"
@@ -37,111 +38,49 @@ type PlacementPolicy interface {
 type LeastLoaded struct {
 	// SRHighWatermark overrides DefaultSRHighWatermark when > 0.
 	SRHighWatermark float64
+	// Stats, when set, counts every SelectHosts call and the hosts it
+	// visits.
+	Stats *PlacementStats
+}
+
+// PlacementStats counts placement work: SelectHosts calls and the hosts
+// they visited. Both are deterministic for a deterministic call sequence.
+// Safe for concurrent use.
+type PlacementStats struct {
+	Calls      atomic.Int64
+	HostVisits atomic.Int64
 }
 
 // Name implements PlacementPolicy.
 func (LeastLoaded) Name() string { return "least-loaded" }
 
-// scored is one placement candidate with its selection keys.
-type scored struct {
-	h      *cluster.Host
-	postSR float64
-	idle   int
-}
-
-// better reports whether a ranks strictly before b in least-loaded order:
-// most idle GPUs first, then lowest post-placement SR, then host ID.
-func (a scored) better(b scored) bool {
-	if a.idle != b.idle {
-		return a.idle > b.idle
-	}
-	if a.postSR != b.postSR {
-		return a.postSR < b.postSR
-	}
-	return a.h.ID < b.h.ID
-}
-
-// topN keeps the n best candidates in selection order via insertion into a
-// small sorted array — a partial selection that replaces the former
-// collect-everything-then-sort.Slice pass, doing O(hosts·n) comparisons
-// with no per-host allocation.
-type topN struct {
-	buf []scored
-	cap int
-}
-
-func (t *topN) insert(s scored) {
-	if len(t.buf) == t.cap && t.buf[len(t.buf)-1].better(s) {
-		return
-	}
-	i := len(t.buf)
-	if i < t.cap {
-		t.buf = append(t.buf, s)
-	} else {
-		i--
-	}
-	for i > 0 && s.better(t.buf[i-1]) {
-		t.buf[i] = t.buf[i-1]
-		i--
-	}
-	t.buf[i] = s
-}
-
-// SelectHosts implements PlacementPolicy. It streams over the cluster's
-// hosts exactly once, maintaining two partial selections: hosts whose
-// post-placement SR stays within the dynamic cluster-wide limit
-// ("balanced"), and all viable hosts as a fallback when the balance rule
-// leaves fewer than n candidates.
+// SelectHosts implements PlacementPolicy through the cluster's load
+// index (cluster.SelectLeastLoaded), which visits O(n) hosts per call, not
+// the whole cluster.
 func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
+	if n <= 0 {
+		return []*cluster.Host{}, nil
+	}
 	watermark := p.SRHighWatermark
 	if watermark <= 0 {
 		watermark = DefaultSRHighWatermark
 	}
-	r := c.ReplicasPerKernel()
-	limit := c.SRLimit()
-
-	// One backing array serves both candidate heaps.
-	scratch := make([]scored, 2*n)
-	balanced := topN{buf: scratch[:0:n], cap: n}
-	viable := topN{buf: scratch[n : n : 2*n], cap: n}
-	balancedCount := 0
-	c.ForEachHost(func(h *cluster.Host) bool {
-		if !req.Fits(h.Capacity) {
-			return true
-		}
-		postSubscribed := h.SubscribedGPUs() + req.GPUs
-		postSR := 0.0
-		if h.Capacity.GPUs > 0 && r > 0 {
-			postSR = float64(postSubscribed) / float64(h.Capacity.GPUs*r)
-		}
-		if postSR > watermark {
-			return true
-		}
-		s := scored{h: h, postSR: postSR, idle: h.IdleGPUs()}
-		viable.insert(s)
-		// The dynamic limit only constrains once the cluster has
-		// subscriptions; at bootstrap (limit 0) every host balances.
-		if limit == 0 || postSR <= limit {
-			balancedCount++
-			balanced.insert(s)
-		}
-		return true
-	})
+	balanced, viable, visits := c.SelectLeastLoaded(req, n, watermark)
+	if p.Stats != nil {
+		p.Stats.Calls.Add(1)
+		p.Stats.HostVisits.Add(int64(visits))
+	}
 	// Prefer balanced hosts; fall back to all viable ones if the balance
 	// rule leaves too few candidates.
-	sel := balanced.buf
-	if balancedCount < n {
-		sel = viable.buf
+	sel := balanced
+	if len(balanced) < n {
+		sel = viable
 	}
 	if len(sel) < n {
 		return nil, fmt.Errorf("%w: need %d, found %d viable (req %v)",
 			ErrInsufficientHosts, n, len(sel), req)
 	}
-	out := make([]*cluster.Host, n)
-	for i := 0; i < n; i++ {
-		out[i] = sel[i].h
-	}
-	return out, nil
+	return sel, nil
 }
 
 // Random places replicas on uniformly random viable hosts; a baseline for

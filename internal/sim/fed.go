@@ -484,6 +484,9 @@ type fedSim struct {
 	pull     func() (*trace.Session, bool)
 	stopPull func()
 	srcErr   error
+	// inputErr records a streamed session its home member cannot hold
+	// (see sim.rejectStream).
+	inputErr error
 	// reserved integrates reserved GPUs online when streaming.
 	reserved gpuHoursAcc
 }
@@ -602,13 +605,7 @@ func newFedSim(cfg FedConfig) (*fedSim, error) {
 	// (empty) host count a scale-in could reclaim. Only Snapshot-building
 	// policies (ScoredPolicy) invoke it; the closed-form trio pays nothing.
 	s.fed.SetSnapshotExtras(func(member int) (int, int) {
-		retirable := 0
-		for _, fh := range s.members[member].hosts {
-			if hostEmpty(fh) {
-				retirable++
-			}
-		}
-		return s.qdepth[member], retirable
+		return s.qdepth[member], s.members[member].c.EmptyHosts()
 	})
 
 	// Pre-size metric columns from the source's expectation (see Run): for
@@ -643,6 +640,9 @@ func newFedSim(cfg FedConfig) (*fedSim, error) {
 	} else {
 		s.eng.Reserve(2*sessions + numTasks + 16)
 		for i, sess := range cfg.Trace.Sessions {
+			if err := s.fitsHome(sess, i%len(s.members)); err != nil {
+				return nil, err
+			}
 			sess := sess
 			ss := &fedSession{
 				src:    sess,
@@ -682,6 +682,9 @@ func (s *fedSim) close() {
 // and integrated hours. Call once, after the engine has run past the
 // window's end.
 func (s *fedSim) finish() (*FedResult, error) {
+	if s.inputErr != nil {
+		return nil, s.inputErr
+	}
 	if s.srcErr != nil {
 		return nil, s.srcErr
 	}
@@ -690,6 +693,26 @@ func (s *fedSim) finish() (*FedResult, error) {
 }
 
 func (s *fedSim) now() time.Time { return s.eng.Now() }
+
+// fitsHome rejects a session whose request exceeds one host of its home
+// member: the home member is where a session that fits nowhere scales
+// out, so a session it cannot hold would be dropped (see sim.fitsHost).
+func (s *fedSim) fitsHome(sess *trace.Session, home int) error {
+	spec := s.members[home].spec
+	if sess.Request.Fits(spec.HostCapacity) {
+		return nil
+	}
+	return fmt.Errorf("sim: session %s requests %v, more than the host capacity %v of its home cluster %s",
+		sess.ID, sess.Request, spec.HostCapacity, spec.Name)
+}
+
+// rejectStream is sim.rejectStream for the federation.
+func (s *fedSim) rejectStream(err error) {
+	s.inputErr = err
+	if !s.cfg.leaseManaged {
+		s.eng.Stop()
+	}
+}
 
 func (s *fedSim) addHost(member int) *fedHost {
 	m := s.members[member]
@@ -1068,11 +1091,7 @@ func (s *fedSim) autoscalePooled() {
 			GPUsPerHost:    m.spec.HostCapacity.GPUs,
 			CommittedGPUs:  m.c.CommittedGPUs(),
 			SubscribedGPUs: m.c.SubscribedGPUs(),
-		}
-		for _, fh := range m.hosts {
-			if hostEmpty(fh) {
-				l.EmptyHosts++
-			}
+			EmptyHosts:     m.c.EmptyHosts(),
 		}
 		loads[i] = l
 	}
@@ -1083,7 +1102,7 @@ func (s *fedSim) autoscalePooled() {
 	case federation.ScaleIn:
 		m := s.members[dec.Member]
 		released := 0
-		for i := 0; i < len(m.hosts) && released < dec.Hosts; {
+		for i := 0; i < len(m.hosts) && released < dec.Hosts && m.c.EmptyHosts() > 0; {
 			if s.removeHostIfEmpty(m, i) {
 				released++
 				continue
@@ -1122,21 +1141,13 @@ func (s *fedSim) provisionHostsAfter(idx, need int, provision time.Duration) {
 	})
 }
 
-// hostEmpty reports whether a host holds no replicas and no commitments —
-// the one definition of "retirable" shared by the scale-in executors and
-// the EmptyHosts gauge the pooled autoscaler decides on, so the gauge can
-// never promise removals the executor refuses.
-func hostEmpty(fh *fedHost) bool {
-	return fh.h.NumReplicas() == 0 && fh.h.Committed().IsZero()
-}
-
 // removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
 // the member and the host index; reports whether it was removed. Both
 // autoscaling modes retire through this so the emptiness predicate and
 // the bookkeeping cannot drift apart.
 func (s *fedSim) removeHostIfEmpty(m *fedMember, i int) bool {
 	fh := m.hosts[i]
-	if !hostEmpty(fh) {
+	if !fh.h.Empty() {
 		return false
 	}
 	if err := m.c.RemoveHost(fh.h.ID); err != nil {
@@ -1162,11 +1173,13 @@ func (s *fedSim) autoscaleMember(idx int) {
 		s.provisionHosts(idx, need)
 		return
 	}
-	// Scale in: release up to 2 idle servers while above the floor.
-	if float64(total)-float64(gpusPerHost) > expected && m.c.NumHosts() > m.spec.MinHosts {
+	// Scale in: release up to 2 empty servers while above the floor,
+	// skipping the scan when the member's O(1) empty-host count says no
+	// host is retirable (see sim.autoscaleOnce).
+	if float64(total)-float64(gpusPerHost) > expected && len(m.hosts) > m.spec.MinHosts && m.c.EmptyHosts() > 0 {
 		released := 0
 		for i := 0; i < len(m.hosts); {
-			if released >= 2 || m.c.NumHosts() <= m.spec.MinHosts {
+			if released >= 2 || len(m.hosts) <= m.spec.MinHosts || m.c.EmptyHosts() == 0 {
 				break
 			}
 			removed := s.removeHostIfEmpty(m, i)

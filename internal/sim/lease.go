@@ -445,11 +445,9 @@ func (s *sim) leaseLoad() shardLoad {
 	for _, sh := range s.hostList {
 		if sh.h.Committed().IsZero() {
 			l.IdleHosts++
-			if sh.h.NumReplicas() == 0 {
-				l.EmptyHosts++
-			}
 		}
 	}
+	l.EmptyHosts = s.cluster.EmptyHosts()
 	return l
 }
 
@@ -472,9 +470,9 @@ func (s *sim) attachHosts(n int) {
 // moves, the pool level is the ledger's to change.
 func (s *sim) detachEmptyHosts(n int) int {
 	removed := 0
-	for i := 0; i < len(s.hostList) && removed < n; {
+	for i := 0; i < len(s.hostList) && removed < n && s.cluster.EmptyHosts() > 0; {
 		sh := s.hostList[i]
-		if sh.h.NumReplicas() == 0 && sh.h.Committed().IsZero() {
+		if sh.h.Empty() {
 			if err := s.cluster.RemoveHost(sh.h.ID); err == nil {
 				s.hostList = append(s.hostList[:i], s.hostList[i+1:]...)
 				s.noteHosts(-1)
@@ -629,7 +627,9 @@ func runShardedLeased(cfg Config, wcfgs []Config) (*Result, error) {
 // hours — all byte-identical to the unsharded run. The workers are
 // authoritative for what sharding parallelizes: the task-level latency
 // distributions (which keep the shard-local placement approximation) and
-// the session/task counts proving no work was lost in the split.
+// the session/task counts proving no work was lost in the split — and the
+// placement work counters, which count the workers' placements, not the
+// ledger's replay of them.
 func leasedResult(ledger, merged *Result) *Result {
 	out := *ledger
 	out.Interactivity = merged.Interactivity
@@ -640,6 +640,8 @@ func leasedResult(ledger, merged *Result) *Result {
 	out.WriteLatency = merged.WriteLatency
 	out.Sessions = merged.Sessions
 	out.Tasks = merged.Tasks
+	out.PlacementCalls = merged.PlacementCalls
+	out.PlacementHostVisits = merged.PlacementHostVisits
 	return &out
 }
 
@@ -813,11 +815,7 @@ func (s *fedSim) fillLeaseLoads(out []federation.MemberLoad) {
 			CommittedGPUs:  m.c.CommittedGPUs(),
 			SubscribedGPUs: m.c.SubscribedGPUs(),
 		}
-		for _, fh := range m.hosts {
-			if hostEmpty(fh) {
-				l.EmptyHosts++
-			}
-		}
+		l.EmptyHosts = m.c.EmptyHosts()
 		out[i] = l
 	}
 }

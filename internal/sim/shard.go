@@ -212,6 +212,8 @@ func MergeResults(results ...*Result) *Result {
 		out.TaskRestarts += r.TaskRestarts
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
+		out.PlacementCalls += r.PlacementCalls
+		out.PlacementHostVisits += r.PlacementHostVisits
 	}
 	out.Availability = mergeFaultTimelines(results, func(r *Result) *metrics.Timeline { return r.Availability })
 	out.RecoveryTime = mergeFaultSamples(results, func(r *Result) *metrics.Sample { return r.RecoveryTime })

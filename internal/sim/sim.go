@@ -261,6 +261,11 @@ type Result struct {
 	// RecoveryTime samples every recovery charge paid: failover election
 	// rounds and checkpoint-restore restart penalties, in seconds.
 	RecoveryTime *metrics.Sample
+
+	// Placement work (scheduler.PlacementStats): least-loaded placement
+	// calls and the hosts they visited. Deterministic work counters.
+	PlacementCalls      int64
+	PlacementHostVisits int64
 }
 
 // simSession is the per-session simulation state.
@@ -317,8 +322,10 @@ type sim struct {
 	eng     *des.Engine
 	rng     *rand.Rand
 	cluster *cluster.Cluster
-	policy  scheduler.PlacementPolicy
-	res     *Result
+	policy  scheduler.LeastLoaded
+	// placeStats counts the policy's placement work for the Result.
+	placeStats scheduler.PlacementStats
+	res        *Result
 
 	// start/end bound the simulated window (the trace's or the source's).
 	start, end time.Time
@@ -337,6 +344,9 @@ type sim struct {
 	pull     func() (*trace.Session, bool)
 	stopPull func()
 	srcErr   error
+	// inputErr records a streamed session no host can hold; the injector
+	// stops admitting and the run returns it (see rejectStream).
+	inputErr error
 	// reserved integrates reserved GPUs (session request sizes over session
 	// lifetimes) online, replacing the trace-scan integral when streaming.
 	reserved gpuHoursAcc
@@ -449,6 +459,11 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	src := cfg.Source
 	if src == nil {
+		for _, sess := range cfg.Trace.Sessions {
+			if err := fitsHost(sess, cfg.HostCapacity); err != nil {
+				return nil, err
+			}
+		}
 		src = cfg.Trace.AsSource()
 	}
 	start, end := src.Window()
@@ -458,7 +473,6 @@ func newSim(cfg Config) (*sim, error) {
 		eng:       eng,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
 		cluster:   cluster.New(cfg.ReplicasPerKernel),
-		policy:    scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark},
 		start:     start,
 		end:       end,
 		streaming: cfg.Source != nil,
@@ -467,6 +481,7 @@ func newSim(cfg Config) (*sim, error) {
 		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
 		waitq:     newCapacityWaitQueue(eng),
 	}
+	s.policy = scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark, Stats: &s.placeStats}
 	s.reserved.lastNS = start.UnixNano()
 
 	// Lean mode swaps the unbounded recorders for window-bounded ones:
@@ -598,14 +613,42 @@ func (s *sim) close() {
 // finish surfaces a streaming-source error and computes the integrated
 // metrics. Call once, after the engine has run past the window's end.
 func (s *sim) finish() (*Result, error) {
+	if s.inputErr != nil {
+		return nil, s.inputErr
+	}
 	if s.srcErr != nil {
 		return nil, s.srcErr
 	}
 	s.finalizeIntegrals()
+	s.res.PlacementCalls = s.placeStats.Calls.Load()
+	s.res.PlacementHostVisits = s.placeStats.HostVisits.Load()
 	return s.res, nil
 }
 
 func (s *sim) now() time.Time { return s.eng.Now() }
+
+// fitsHost rejects a session whose request exceeds one host's capacity:
+// no policy can ever place it (a kernel replica, a reservation and a task
+// container each live on one host), so the run fails with an error
+// instead of dropping the session or its tasks.
+func fitsHost(sess *trace.Session, capacity resources.Spec) error {
+	if sess.Request.Fits(capacity) {
+		return nil
+	}
+	return fmt.Errorf("sim: session %s requests %v, more than the host capacity %v",
+		sess.ID, sess.Request, capacity)
+}
+
+// rejectStream records a streamed session's input error and ends the
+// run: the injector admits nothing more, and finish returns the error. A
+// lease-managed engine is stepped by the barrier protocol and keeps
+// running, with no further admissions, until the others finish.
+func (s *sim) rejectStream(err error) {
+	s.inputErr = err
+	if !s.cfg.leaseManaged {
+		s.eng.Stop()
+	}
+}
 
 func (s *sim) addHost() *simHost {
 	s.hostSeq++
@@ -1170,17 +1213,19 @@ func (s *sim) autoscaleOnce() {
 		s.provisionAt(need, s.cfg.Latencies.HostProvision(s.rng))
 		return
 	}
-	// Scale in: release up to 2 idle servers (no replicas, nothing
-	// committed) while above the floor.
-	if float64(total)-float64(gpusPerHost) > expected && s.cluster.NumHosts() > s.cfg.MinHosts {
+	// Scale in: release up to 2 empty servers (no replicas, nothing
+	// committed) while above the floor, first-joined first. The cluster's
+	// O(1) empty-host count skips the scan when no host is retirable and
+	// ends it once none is left.
+	if float64(total)-float64(gpusPerHost) > expected && len(s.hostList) > s.cfg.MinHosts && s.cluster.EmptyHosts() > 0 {
 		released := 0
 		for i := 0; i < len(s.hostList); {
-			if released >= 2 || s.cluster.NumHosts() <= s.cfg.MinHosts {
+			if released >= 2 || len(s.hostList) <= s.cfg.MinHosts || s.cluster.EmptyHosts() == 0 {
 				break
 			}
 			sh := s.hostList[i]
 			removed := false
-			if sh.h.NumReplicas() == 0 && sh.h.Committed().IsZero() {
+			if sh.h.Empty() {
 				if err := s.cluster.RemoveHost(sh.h.ID); err == nil {
 					s.hostList = append(s.hostList[:i], s.hostList[i+1:]...)
 					s.noteHosts(-1)

@@ -68,6 +68,11 @@ type injector struct {
 func (in *injector) Fire() {
 	s := in.s
 	sess := in.sess
+	if err := fitsHost(sess, s.cfg.HostCapacity); err != nil {
+		s.rejectStream(err)
+		in.sess = nil
+		return
+	}
 	ss := &simSession{
 		src:    sess,
 		req:    sess.Request,
@@ -98,11 +103,17 @@ type fedInjector struct {
 func (in *fedInjector) Fire() {
 	s := in.s
 	sess := in.sess
+	home := s.homeSeq % len(s.members)
+	if err := s.fitsHome(sess, home); err != nil {
+		s.rejectStream(err)
+		in.sess = nil
+		return
+	}
 	ss := &fedSession{
 		src:    sess,
 		req:    sess.Request,
 		assig:  workload.Assign(s.wr),
-		home:   s.homeSeq % len(s.members),
+		home:   home,
 		holder: "fed/" + sess.ID,
 	}
 	s.homeSeq++
