@@ -189,10 +189,11 @@ func scenarios() []scenario {
 		// first place a metrics-layer allocation regression shows up.
 		//
 		// placement_host_visits gates the placement work: the hosts every
-		// least-loaded SelectHosts call visited, summed over the shards.
-		// It is a deterministic work counter, so an index regression that
-		// falls back toward full scans fails the gate like a changed
-		// output would.
+		// least-loaded SelectHosts call read in the load index, whole
+		// buckets included (cluster.PlacementWork), summed over the
+		// shards. It is a deterministic work counter, so an index
+		// regression that falls back toward full scans fails the gate like
+		// a changed output would.
 		{"summer-10d-quick", func(b *testing.B, _, summer *trace.Trace) map[string]float64 {
 			var saved, tasks, visits float64
 			for i := 0; i < b.N; i++ {

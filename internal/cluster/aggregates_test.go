@@ -174,7 +174,9 @@ func checkPlacement(t *testing.T, c *cluster.Cluster, step string) {
 // including on hosts detached by a crash. Hosts come in mixed capacity
 // classes (two 8-GPU shapes, 4 GPUs, none). Their IDs run past
 // sim-h9999, where string order stops matching numeric order, and some
-// share a 16-byte prefix, past which the index compares the strings.
+// use a second, longer naming scheme (sim-cluster-east-h<n>) interleaved
+// with the first, so hosts join out of ID order and the index's ranks
+// must follow string order, not arrival or numeric order.
 func TestAggregatesMatchRecountProperty(t *testing.T) {
 	caps := []resources.Spec{
 		resources.P316xlarge(),

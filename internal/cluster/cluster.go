@@ -24,6 +24,10 @@ type aggregates struct {
 	// emptyHosts counts member hosts with no replicas and nothing
 	// committed — the hosts a scale-in may retire.
 	emptyHosts atomic.Int64
+	// placeCalls and placeVisits count SelectLeastLoaded calls and the
+	// hosts they read (see PlacementWork).
+	placeCalls  atomic.Int64
+	placeVisits atomic.Int64
 }
 
 // Host is one GPU server.
@@ -42,9 +46,6 @@ type Host struct {
 	mu         sync.Mutex
 	subscribed resources.Spec
 	replicas   map[string]resources.Spec
-	// removed counts deletions from replicas since it was last rebuilt
-	// (see compactReplicas).
-	removed int
 	// ledger is the host's own record of committed resources, updated
 	// under mu by the pool observers in commit/release order. attach and
 	// detach read it (also under mu) instead of snapshotting the pool, so
@@ -209,9 +210,6 @@ func (h *Host) RemoveReplica(replicaID string) error {
 		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
 	}
 	delete(h.replicas, replicaID)
-	if h.removed++; h.removed > 4*len(h.replicas)+64 {
-		h.compactReplicas()
-	}
 	h.subscribed = h.subscribed.Sub(req)
 	h.subGPUs.Store(int64(h.subscribed.GPUs))
 	if h.c != nil {
@@ -219,20 +217,6 @@ func (h *Host) RemoveReplica(replicaID string) error {
 	}
 	h.loadChanged()
 	return nil
-}
-
-// compactReplicas rebuilds the replica map. A long-lived host sees a
-// stream of placements and removals over a small live set, and the
-// deleted slots a map keeps make every later lookup probe further;
-// rebuilding after a number of deletions proportional to the live set
-// keeps lookups short at O(1) amortized cost. Called with h.mu held.
-func (h *Host) compactReplicas() {
-	m := make(map[string]resources.Spec, len(h.replicas))
-	for k, v := range h.replicas {
-		m[k] = v
-	}
-	h.replicas = m
-	h.removed = 0
 }
 
 // HasReplica reports whether the replica is subscribed on this host.

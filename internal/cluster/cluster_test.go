@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -154,38 +153,5 @@ func TestPlaceReplicaRejectsNegative(t *testing.T) {
 	h := NewHost("h", resources.P316xlarge())
 	if err := h.PlaceReplica("r", resources.Spec{GPUs: -1}); err == nil {
 		t.Fatal("negative request must fail")
-	}
-}
-
-// TestReplicaChurnKeepsReplicaSet: a host whose replica map is rebuilt
-// under heavy placement churn (compactReplicas) keeps exactly its live
-// replicas and their requests.
-func TestReplicaChurnKeepsReplicaSet(t *testing.T) {
-	h := NewHost("churn", resources.P316xlarge())
-	for i := 0; i < 5; i++ {
-		if err := h.PlaceReplica(fmt.Sprintf("live%d", i), req(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("tmp%d", i)
-		if err := h.PlaceReplica(key, req(2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.RemoveReplica(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.removed > 4*5+64 {
-		t.Fatalf("%d removals since the last rebuild; the map was never compacted", h.removed)
-	}
-	if got := h.Replicas(); len(got) != 5 || got[0] != "live0" || got[4] != "live4" {
-		t.Fatalf("Replicas = %v", got)
-	}
-	if r, ok := h.ReplicaRequest("live3"); !ok || r != req(1) {
-		t.Fatalf("ReplicaRequest(live3) = %v, %v", r, ok)
-	}
-	if h.HasReplica("tmp999") || h.Subscribed() != req(5) {
-		t.Fatalf("stale replica or subscription %v", h.Subscribed())
 	}
 }

@@ -19,12 +19,15 @@
 // (loadindex.go). The index orders hosts exactly as scheduler.LeastLoaded
 // ranks them: idle GPUs descending, then post-placement subscription ratio
 // ascending, then host ID ascending. It keeps one class per host capacity,
-// one level per committed-GPU count and one ID-sorted bucket per
-// subscribed-GPU count; SelectLeastLoaded walks it, merging the classes
-// per request. It is built lazily on the first SelectLeastLoaded, so
-// clusters that never place least-loaded pay nothing, and then updated in
-// place by PlaceReplica, RemoveReplica, Commit, Release, AddHost,
-// RemoveHost and CrashHost.
+// one level per committed-GPU count and one unordered bucket per
+// subscribed-GPU count; a walk takes a bucket's hosts in ID order through
+// integer ranks that follow ID order, and SelectLeastLoaded merges the
+// classes per request. The index is built lazily on the first
+// SelectLeastLoaded, so clusters that never place least-loaded pay
+// nothing. AddHost, RemoveHost and CrashHost then file and unfile hosts at
+// once; PlaceReplica, RemoveReplica, Commit and Release only queue their
+// host, and the next walk refiles every queued host from its load mirrors.
+// PlacementWork counts the walks and the hosts they read.
 //
 // Locking contract: writers mutate a host under its mu and, still under
 // it, update the host's atomic load mirrors, the cluster aggregates, the

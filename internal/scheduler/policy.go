@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/resources"
@@ -38,25 +37,14 @@ type PlacementPolicy interface {
 type LeastLoaded struct {
 	// SRHighWatermark overrides DefaultSRHighWatermark when > 0.
 	SRHighWatermark float64
-	// Stats, when set, counts every SelectHosts call and the hosts it
-	// visits.
-	Stats *PlacementStats
-}
-
-// PlacementStats counts placement work: SelectHosts calls and the hosts
-// they visited. Both are deterministic for a deterministic call sequence.
-// Safe for concurrent use.
-type PlacementStats struct {
-	Calls      atomic.Int64
-	HostVisits atomic.Int64
 }
 
 // Name implements PlacementPolicy.
 func (LeastLoaded) Name() string { return "least-loaded" }
 
 // SelectHosts implements PlacementPolicy through the cluster's load
-// index (cluster.SelectLeastLoaded), which visits O(n) hosts per call, not
-// the whole cluster.
+// index (cluster.SelectLeastLoaded), which takes O(n) hosts per call
+// instead of scanning the whole cluster.
 func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
 	if n <= 0 {
 		return []*cluster.Host{}, nil
@@ -65,11 +53,7 @@ func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) 
 	if watermark <= 0 {
 		watermark = DefaultSRHighWatermark
 	}
-	balanced, viable, visits := c.SelectLeastLoaded(req, n, watermark)
-	if p.Stats != nil {
-		p.Stats.Calls.Add(1)
-		p.Stats.HostVisits.Add(int64(visits))
-	}
+	balanced, viable := c.SelectLeastLoaded(req, n, watermark)
 	// Prefer balanced hosts; fall back to all viable ones if the balance
 	// rule leaves too few candidates.
 	sel := balanced

@@ -13,7 +13,8 @@ import (
 // each op places one kernel's three replicas where SelectHosts says and
 // retires the oldest live kernel, so the load index is updated on every
 // op as it is in the simulator. visits/op is the deterministic work
-// counter: the hosts one SelectHosts call examined.
+// counter (cluster.PlacementWork): the index entries one SelectHosts call
+// read.
 func BenchmarkSelectHosts(b *testing.B) {
 	for _, hosts := range []int{128, 1024} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
@@ -27,8 +28,7 @@ func BenchmarkSelectHosts(b *testing.B) {
 				hosts []*cluster.Host
 				key   string
 			}
-			var stats PlacementStats
-			p := LeastLoaded{Stats: &stats}
+			p := LeastLoaded{}
 			r := rand.New(rand.NewSource(1))
 			// Fill to about half the default watermark, with a tenth of
 			// the hosts executing, so levels and buckets are populated.
@@ -58,8 +58,7 @@ func BenchmarkSelectHosts(b *testing.B) {
 				}
 			}
 			head := hosts / 10
-			stats.Calls.Store(0)
-			stats.HostVisits.Store(0)
+			calls0, visits0 := c.PlacementWork()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -76,7 +75,8 @@ func BenchmarkSelectHosts(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(stats.HostVisits.Load())/float64(stats.Calls.Load()), "visits/op")
+			calls, visits := c.PlacementWork()
+			b.ReportMetric(float64(visits-visits0)/float64(calls-calls0), "visits/op")
 		})
 	}
 }

@@ -81,6 +81,72 @@ func TestOversizedSessionIsAnError(t *testing.T) {
 		})
 	}
 
+	// A federation with mixed host sizes places a session too large for
+	// its home member's hosts on a member whose hosts fit it, so the check
+	// must not reject such a session up front: the excerpt asks for 8 GPUs
+	// in some sessions, more than the 4-GPU member's hosts.
+	mixed := []FedClusterSpec{
+		{Name: "large", Hosts: 16},
+		{Name: "mid", Hosts: 8},
+		{Name: "small-4gpu", Hosts: 12, HostCapacity: resources.P316xlarge().Scale(0.5)},
+	}
+	halfHost := resources.P316xlarge().Scale(0.5)
+	oversizedHome := 0
+	for i, sess := range tr.Sessions {
+		if i%len(mixed) == 2 && !sess.Request.Fits(halfHost) {
+			oversizedHome++
+		}
+	}
+	if oversizedHome == 0 {
+		t.Fatal("no excerpt session is too large for its 4-GPU home member")
+	}
+	mixedFed := FedConfig{Trace: tr, Clusters: mixed, Seed: 42}
+	mixedStream := FedConfig{Source: tr.AsSource(), Clusters: mixed, Seed: 42}
+	mixedLease := FedConfig{Trace: tr, Clusters: mixed, Seed: 42, ShardCapacity: LeasePool}
+	for _, r := range []runner{
+		{"mixed/RunFederated", func() error { _, err := RunFederated(mixedFed); return err }},
+		{"mixed/RunFederated-stream", func() error { _, err := RunFederated(mixedStream); return err }},
+		{"mixed/RunFederatedSharded", func() error { _, err := RunFederatedSharded(mixedFed, 2); return err }},
+		{"mixed/lease/RunFederatedSharded", func() error { _, err := RunFederatedSharded(mixedLease, 2); return err }},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			if err := r.run(); err != nil {
+				t.Fatalf("session that fits another member rejected: %v", err)
+			}
+		})
+	}
+	if res, err := RunFederated(mixedFed); err != nil || res.Tasks != tr.NumTasks() {
+		t.Fatalf("mixed federation: err %v, want every one of %d tasks run", err, tr.NumTasks())
+	}
+
+	// A session that fits only another member's hosts, when that member
+	// cannot take it, is an error too. The home member (index 0) has 2-GPU
+	// hosts; the other has 8-GPU hosts but only two, fewer than the three
+	// replicas a kernel needs, and only the home member scales out.
+	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	lone := &trace.Trace{
+		Name: "lone", Start: t0, End: t0.Add(2 * time.Hour), Granularity: time.Minute,
+		Sessions: []*trace.Session{{
+			ID: "lone-0", Start: t0.Add(time.Minute), End: t0.Add(time.Hour),
+			Request: resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: 4, VRAMGB: 16},
+			Tasks:   []trace.Task{{Submit: t0.Add(2 * time.Minute), Duration: time.Minute, GPUs: 4}},
+		}},
+	}
+	stranded := []FedClusterSpec{
+		{Name: "home-2gpu", Hosts: 4, HostCapacity: small},
+		{Name: "two-large", Hosts: 2},
+	}
+	for _, cfg := range []FedConfig{
+		{Trace: lone, Clusters: stranded, Seed: 42},
+		{Source: lone.AsSource(), Clusters: stranded, Seed: 42},
+	} {
+		_, err := RunFederated(cfg)
+		if err == nil || !strings.Contains(err.Error(), "session lone-0 ") ||
+			!strings.Contains(err.Error(), small.String()) {
+			t.Fatalf("stranded session: error %v, want one naming lone-0 and %v", err, small)
+		}
+	}
+
 	// The first oversized session of the materialized trace is the one
 	// named by the up-front check.
 	if _, err := Run(Config{Trace: tr, Policy: PolicyBatch, HostCapacity: small}); err == nil ||

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
 	"notebookos/internal/cluster"
@@ -484,8 +485,7 @@ type fedSim struct {
 	pull     func() (*trace.Session, bool)
 	stopPull func()
 	srcErr   error
-	// inputErr records a streamed session its home member cannot hold
-	// (see sim.rejectStream).
+	// inputErr records a session no member can hold (see reject).
 	inputErr error
 	// reserved integrates reserved GPUs online when streaming.
 	reserved gpuHoursAcc
@@ -640,7 +640,7 @@ func newFedSim(cfg FedConfig) (*fedSim, error) {
 	} else {
 		s.eng.Reserve(2*sessions + numTasks + 16)
 		for i, sess := range cfg.Trace.Sessions {
-			if err := s.fitsHome(sess, i%len(s.members)); err != nil {
+			if err := s.fitsSomeMember(sess); err != nil {
 				return nil, err
 			}
 			sess := sess
@@ -694,20 +694,26 @@ func (s *fedSim) finish() (*FedResult, error) {
 
 func (s *fedSim) now() time.Time { return s.eng.Now() }
 
-// fitsHome rejects a session whose request exceeds one host of its home
-// member: the home member is where a session that fits nowhere scales
-// out, so a session it cannot hold would be dropped (see sim.fitsHost).
-func (s *fedSim) fitsHome(sess *trace.Session, home int) error {
-	spec := s.members[home].spec
-	if sess.Request.Fits(spec.HostCapacity) {
-		return nil
+// fitsSomeMember rejects a session whose request exceeds one host of
+// every member: no member can ever place it (see sim.fitsHost). A session
+// that fits only other members' hosts is admitted; placeSession tries
+// every member, and sessionStart fails the run if none can take it.
+func (s *fedSim) fitsSomeMember(sess *trace.Session) error {
+	caps := make([]string, len(s.members))
+	for i, m := range s.members {
+		if sess.Request.Fits(m.spec.HostCapacity) {
+			return nil
+		}
+		caps[i] = fmt.Sprintf("%v (%s)", m.spec.HostCapacity, m.spec.Name)
 	}
-	return fmt.Errorf("sim: session %s requests %v, more than the host capacity %v of its home cluster %s",
-		sess.ID, sess.Request, spec.HostCapacity, spec.Name)
+	return fmt.Errorf("sim: session %s requests %v, more than the host capacity of every cluster: %s",
+		sess.ID, sess.Request, strings.Join(caps, ", "))
 }
 
-// rejectStream is sim.rejectStream for the federation.
-func (s *fedSim) rejectStream(err error) {
+// reject records a session's input error and ends the run, as
+// sim.rejectStream does: nothing more is admitted, and finish returns
+// the error.
+func (s *fedSim) reject(err error) {
 	s.inputErr = err
 	if !s.cfg.leaseManaged {
 		s.eng.Stop()
@@ -775,7 +781,12 @@ func (s *fedSim) sessionStart(ss *fedSession) {
 	s.res.ScaleOuts++
 	s.members[ss.home].res.ScaleOuts++
 	if !s.placeSession(ss) {
-		ss.hosts = nil // pathological request; drop the session
+		// Only a session larger than the home member's hosts gets here:
+		// it fits some other member's hosts, but none has room for it.
+		ss.hosts = nil
+		m := s.members[ss.home]
+		s.reject(fmt.Errorf("sim: session %s requests %v, more than the host capacity %v of its home cluster %s, and no other cluster has room for it",
+			ss.src.ID, ss.req, m.spec.HostCapacity, m.spec.Name))
 	}
 }
 

@@ -262,8 +262,8 @@ type Result struct {
 	// rounds and checkpoint-restore restart penalties, in seconds.
 	RecoveryTime *metrics.Sample
 
-	// Placement work (scheduler.PlacementStats): least-loaded placement
-	// calls and the hosts they visited. Deterministic work counters.
+	// Placement work (cluster.PlacementWork): least-loaded placement
+	// calls and the hosts they read. Deterministic work counters.
 	PlacementCalls      int64
 	PlacementHostVisits int64
 }
@@ -323,9 +323,7 @@ type sim struct {
 	rng     *rand.Rand
 	cluster *cluster.Cluster
 	policy  scheduler.LeastLoaded
-	// placeStats counts the policy's placement work for the Result.
-	placeStats scheduler.PlacementStats
-	res        *Result
+	res     *Result
 
 	// start/end bound the simulated window (the trace's or the source's).
 	start, end time.Time
@@ -481,7 +479,7 @@ func newSim(cfg Config) (*sim, error) {
 		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
 		waitq:     newCapacityWaitQueue(eng),
 	}
-	s.policy = scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark, Stats: &s.placeStats}
+	s.policy = scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark}
 	s.reserved.lastNS = start.UnixNano()
 
 	// Lean mode swaps the unbounded recorders for window-bounded ones:
@@ -620,8 +618,7 @@ func (s *sim) finish() (*Result, error) {
 		return nil, s.srcErr
 	}
 	s.finalizeIntegrals()
-	s.res.PlacementCalls = s.placeStats.Calls.Load()
-	s.res.PlacementHostVisits = s.placeStats.HostVisits.Load()
+	s.res.PlacementCalls, s.res.PlacementHostVisits = s.cluster.PlacementWork()
 	return s.res, nil
 }
 

@@ -104,8 +104,8 @@ func (in *fedInjector) Fire() {
 	s := in.s
 	sess := in.sess
 	home := s.homeSeq % len(s.members)
-	if err := s.fitsHome(sess, home); err != nil {
-		s.rejectStream(err)
+	if err := s.fitsSomeMember(sess); err != nil {
+		s.reject(err)
 		in.sess = nil
 		return
 	}
