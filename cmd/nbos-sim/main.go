@@ -42,8 +42,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced-scale run")
 		list     = flag.Bool("list", false, "list experiments")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "concurrent experiments for -exp all (output stays in paper order)")
-		shards   = flag.Int("shards", 1, "session-partitioned trace shards per simulation (1 = unsharded; >1 merges parallel workers that lease capacity from a shared pool, so capacity metrics match the unsharded run exactly — see docs/SHARDING.md)")
-		legacy   = flag.Bool("legacy-split", false, "with -shards N: use the legacy static capacity split instead of the shared lease pool (independent workers, documented saved-GPUh drift)")
+		shards   = flag.Int("shards", 1, "session-partitioned trace shards per simulation (1 = unsharded and exact; >1 merges parallel workers over a static capacity split, whose saved GPU-hours drift below the unsharded run — see docs/SHARDING.md)")
 		stream   = flag.Bool("stream", false, "synthesize sessions lazily per shard (sim.RunStreamSharded) instead of replaying a materialized trace; identical output at -shards 1, bounded memory at any scale")
 		scenario = flag.String("scenario", "", "run one declarative workload scenario through every policy: a built-in name (see trace.BuiltinScenarios) or a JSON trace.ScenarioSpec file; honors -seed/-quick/-shards/-stream")
 		faults   = flag.String("faults", "", "with -scenario: inject a deterministic fault schedule — a built-in profile (light, heavy, az-outage) or a JSON trace.FaultSpec file; overrides the scenario's own faults block (docs/FAULTS.md)")
@@ -62,7 +61,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, LegacyShards: *legacy, Stream: *stream}
+	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, Stream: *stream}
 	code := run(o, *exp, *scenario, *faults, *list, *jobs)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
@@ -95,6 +94,14 @@ func writeHeapProfile(path string) error {
 // returns the process exit code. It never calls os.Exit, so main can
 // close the profiles first.
 func run(o experiments.Options, exp, scenario, faults string, list bool, jobs int) int {
+	if o.Shards < 1 {
+		fmt.Fprintf(os.Stderr, "-shards must be at least 1, got %d\n", o.Shards)
+		return 2
+	}
+	if jobs < 1 {
+		fmt.Fprintf(os.Stderr, "-jobs must be at least 1, got %d\n", jobs)
+		return 2
+	}
 	if faults != "" {
 		if scenario == "" {
 			fmt.Fprintln(os.Stderr, "-faults requires -scenario (fault sweeps over the figure experiments run via -exp fault-sweep)")
@@ -157,9 +164,6 @@ func run(o experiments.Options, exp, scenario, faults string, list bool, jobs in
 // It returns the process exit code.
 func runAll(o experiments.Options, jobs int) int {
 	all := experiments.All()
-	if jobs < 1 {
-		jobs = 1
-	}
 	type outcome struct {
 		out  string
 		err  error

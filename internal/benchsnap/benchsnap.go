@@ -311,13 +311,12 @@ func scenarios() []scenario {
 				"tasks":      float64(res.Tasks),
 			}
 		}},
-		// sharded-lease-summer-10d-4shards pins the shared virtual
-		// capacity pool: a 4-shard run over the 10-day summer trace with
-		// ShardCapacity == LeasePool must save exactly as many GPU-hours
-		// as the unsharded run (the capacity ledger replays it), so
+		// sharded-lease-summer-10d-4shards pins LeasePool == unsharded: a
+		// 4-shard RunSharded over the 10-day summer trace with
+		// ShardCapacity == LeasePool returns the unsharded run, so
 		// gpuh_saved gates at the default 0.1% with zero expected drift —
-		// compare summer-10d-quick, whose legacy static split drifts by
-		// design. scale_outs/scale_ins pin the ledger's event stream.
+		// compare summer-10d-quick, whose static split drifts by design.
+		// scale_outs/scale_ins pin the unsharded run's event stream.
 		{"sharded-lease-summer-10d-4shards", func(b *testing.B, _, summer *trace.Trace) map[string]float64 {
 			var saved, tasks, so, si float64
 			for i := 0; i < b.N; i++ {
@@ -341,11 +340,11 @@ func scenarios() []scenario {
 		// fault-heavy-campus-lease-2shards pins the deterministic fault
 		// layer end-to-end: the heavy built-in profile (daily crashes plus
 		// a WAN degradation window) over the campus-diurnal scenario,
-		// sharded through the lease pool. failovers and restarts gate the
-		// fault stream and the repair state machine at the default 0.1%
-		// (exact-replay integers, zero expected drift); gpuh_saved gates
-		// the capacity ledger's fault replay — a sharded run's churn must
-		// be the unsharded ledger's, exactly.
+		// through RunSharded k=2 with LeasePool, which is the unsharded
+		// run. failovers and restarts gate the fault stream and the repair
+		// state machine at the default 0.1% (exact-replay integers, zero
+		// expected drift); gpuh_saved gates the fault run's capacity — an
+		// exact sharded run's churn must be the unsharded run's, exactly.
 		{"fault-heavy-campus-lease-2shards", func(b *testing.B, _, _ *trace.Trace) map[string]float64 {
 			gcfg := trace.CampusDiurnalScenario().MustConfig(42)
 			gcfg.Duration = 24 * time.Hour

@@ -26,16 +26,11 @@ type Options struct {
 	// parameter grid (sweeps whose cluster topology cannot hold a shard per
 	// member clamp back toward the unsharded path automatically). Shards
 	// <= 1 is the plain unsharded path, byte-identical to pre-sharding
-	// output. Sharded runs use the shared virtual capacity pool
-	// (sim.LeasePool) unless LegacyShards opts out, so capacity metrics
-	// match the unsharded run exactly (docs/SHARDING.md).
-	Shards int
-	// LegacyShards opts sharded runs back into the legacy static capacity
+	// output and the only exact one. Shards > 1 is the static capacity
 	// split (sim.LegacySplit): shards never share capacity after the
-	// initial proportional grant, trading the lease pool's exactness for
-	// fully independent workers. Saved-GPU-hours then drift below the
-	// unsharded run as Shards grows (see the shard-drift experiment).
-	LegacyShards bool
+	// initial proportional grant, so saved-GPU-hours drift below the
+	// unsharded run as Shards grows (docs/SHARDING.md, "Measured drift").
+	Shards int
 	// Stream routes the figure experiments' policy simulations through
 	// sim.RunStreamSharded: workers synthesize their sessions lazily from
 	// the trace's generating config instead of replaying a materialized
@@ -71,17 +66,6 @@ func (o Options) shards() int {
 		return 1
 	}
 	return o.Shards
-}
-
-// capacity is the ShardCapacity mode sharded simulations run under: the
-// shared lease pool by default — sharded capacity metrics match the
-// unsharded run exactly (docs/SHARDING.md) — or the legacy static split
-// when LegacyShards opts out. Irrelevant at shards <= 1.
-func (o Options) capacity() sim.ShardCapacity {
-	if o.LegacyShards {
-		return sim.LegacySplit
-	}
-	return sim.LeasePool
 }
 
 // Experiment regenerates one table or figure.
@@ -127,7 +111,6 @@ func All() []Experiment {
 		{"fed-matrix", "Federation: latency-matrix shape ablation", FederationMatrix},
 		{"summer-fed", "Federation: 90-day summer trace, federated", SummerFederation},
 		{"stream-scale", "Streaming 1M-session workload, bounded memory", StreamScale},
-		{"shard-drift", "Sharded capacity drift: legacy split vs lease pool", ShardDrift},
 		{"scenario-sweep", "Scenario lab: arrival shape x policy x federation", ScenarioSweep},
 		{"policy-tournament", "Policy lab: scorer configs x scenarios x federation k", PolicyTournament},
 		{"fault-sweep", "Fault injection: intensity x policy x federation", FaultSweep},
@@ -253,7 +236,6 @@ type simKey struct {
 	seed   int64
 	quick  bool
 	shards int
-	mode   sim.ShardCapacity
 	stream bool
 }
 
@@ -282,7 +264,7 @@ var (
 func runSim(o Options, kind string, tr *trace.Trace, policy sim.Policy) (*sim.Result, error) {
 	gcfg, streamable := genConfig(o, kind)
 	stream := o.Stream && streamable
-	key := simKey{kind, policy, o.seed(), o.Quick, o.shards(), o.capacity(), stream}
+	key := simKey{kind, policy, o.seed(), o.Quick, o.shards(), stream}
 	simMu.Lock()
 	e, ok := simCache[key]
 	if !ok {
@@ -292,11 +274,10 @@ func runSim(o Options, kind string, tr *trace.Trace, policy sim.Policy) (*sim.Re
 	simMu.Unlock()
 	e.once.Do(func() {
 		cfg := sim.Config{
-			Trace:         tr,
-			Policy:        policy,
-			Hosts:         30,
-			Seed:          o.seed(),
-			ShardCapacity: o.capacity(),
+			Trace:  tr,
+			Policy: policy,
+			Hosts:  30,
+			Seed:   o.seed(),
 		}
 		if stream {
 			cfg.Trace = nil
@@ -339,9 +320,6 @@ func runSims(o Options, kind string, tr *trace.Trace, policies ...sim.Policy) ([
 // exactly sim.Run).
 func parallelSims(o Options, cfgs []sim.Config) ([]*sim.Result, error) {
 	shards := o.shards()
-	for i := range cfgs {
-		cfgs[i].ShardCapacity = o.capacity()
-	}
 	results := make([]*sim.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup

@@ -18,8 +18,8 @@ import (
 // intensity order: none (the byte-identity baseline), light (rare
 // crashes), heavy (daily crashes plus a WAN degradation window), and
 // az-outage (a correlated mass failure). Every run honors Options.Shards
-// (lease-pool capacity by default, so sharded fault metrics replay the
-// unsharded ledger exactly) and Options.Stream.
+// (the static capacity split; -shards 1 is the exact run) and
+// Options.Stream.
 
 // faultProfileOrder is the intensity axis, mildest first. "none" is the
 // nil spec: the fault layer stays inert and the row doubles as the
@@ -43,7 +43,7 @@ func faultProfile(name string) (*trace.FaultSpec, error) {
 // profiles (the fault stream is workload-independent, so one trace serves
 // every cell of the sweep).
 func runFaultSim(o Options, gcfg trace.GenConfig, tr **trace.Trace, policy sim.Policy, f *trace.FaultSpec) (*sim.Result, error) {
-	cfg := sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), ShardCapacity: o.capacity(), Faults: f}
+	cfg := sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), Faults: f}
 	if o.Stream {
 		return sim.RunStreamSharded(gcfg, cfg, o.shards())
 	}
@@ -131,7 +131,6 @@ func FaultSweep(o Options) (string, error) {
 			Route:           federation.LeastSubscribed{},
 			PooledAutoscale: true,
 			Seed:            o.seed(),
-			ShardCapacity:   o.capacity(),
 			Faults:          heavy,
 		}
 		var fres *sim.FedResult

@@ -19,15 +19,13 @@ const fedTotalHosts = 30
 // configs, so output is byte-identical to a sequential sweep. With
 // Options.Shards > 1 each run's trace additionally splits across that
 // many worker federations (sim.RunFederatedSharded; shards <= 1 is
-// exactly sim.RunFederated) under Options' capacity mode — the shared
-// lease pool unless LegacyShards opts out.
+// exactly sim.RunFederated) under the static capacity split.
 func parallelFedSims(o Options, cfgs []sim.FedConfig) ([]*sim.FedResult, error) {
 	shards := o.shards()
 	results := make([]*sim.FedResult, len(cfgs))
 	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup
 	for i := range cfgs {
-		cfgs[i].ShardCapacity = o.capacity()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

@@ -114,7 +114,6 @@ func runTournamentCells(o Options, gcfg trace.GenConfig, tr *trace.Trace, k int)
 		go func(i int, e tournamentEntry) {
 			defer wg.Done()
 			fcfg := tournamentFedConfig(o, k, e.build())
-			fcfg.ShardCapacity = o.capacity()
 			if o.Stream {
 				results[i], errs[i] = sim.RunFederatedStreamSharded(gcfg, fcfg, o.shards())
 				return

@@ -56,7 +56,7 @@ func scenarioConfig(o Options, s trace.ScenarioSpec) (trace.GenConfig, error) {
 // sessions when Options.Stream is set and materializing them otherwise
 // (tr caches the materialization across policies; pass the same pointer).
 func runScenarioSim(o Options, gcfg trace.GenConfig, tr **trace.Trace, policy sim.Policy) (*sim.Result, error) {
-	cfg := sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), ShardCapacity: o.capacity()}
+	cfg := sim.Config{Policy: policy, Hosts: 30, Seed: o.seed()}
 	if o.Stream {
 		return sim.RunStreamSharded(gcfg, cfg, o.shards())
 	}
@@ -149,7 +149,6 @@ func ScenarioSweep(o Options) (string, error) {
 				Route:           federation.LeastSubscribed{},
 				PooledAutoscale: true,
 				Seed:            o.seed(),
-				ShardCapacity:   o.capacity(),
 			}
 			var fres *sim.FedResult
 			if o.Stream {

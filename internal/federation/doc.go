@@ -56,10 +56,7 @@
 // observed loads — no clock, no randomness — so the simulator drives it
 // deterministically; the floor invariant is property-tested from random
 // federation states. The MinHosts clamp rule itself lives in
-// scheduler.MinHostsFloor. Under sim's sharded lease pool the pooled
-// autoscaler runs inside the capacity ledger — the unsharded federated
-// replay — so sharding preserves its one-decision-per-tick semantics
-// over the whole workload exactly (docs/SHARDING.md).
+// scheduler.MinHostsFloor.
 //
 // Deployment is the federated tier above scheduler.GlobalScheduler for the
 // live platform half: it owns one Global Scheduler per member, starts each

@@ -20,18 +20,14 @@
 // merged quantiles are bit-identical to concatenation), events by a
 // pre-sized k-way merge on their int64 timestamps, counters by
 // summation, always in shard-index order so output never
-// depends on worker completion order. Capacity accounting across shards
-// is Config.ShardCapacity's choice (docs/SHARDING.md): under LeasePool —
-// the default for experiment -shards runs — workers lease hosts from a
-// shared virtual capacity pool backed by a capacity ledger (an unsharded
-// replay running as one more barrier participant), reconciled at every
-// LeaseEpoch boundary, so every cluster-determined metric of a sharded
-// run is byte-identical to the unsharded run at any shard count (pinned
-// by TestLeasePoolCapacityExact); under the zero-value LegacySplit the
-// workers never share capacity after the initial proportional grant and
-// the saved-GPU-hour drift bound documented on RunSharded applies
-// (pinned by TestShardedSavingsDriftBound). Latency distributions are
-// shard-local — unbiased but not sample-identical — in both modes.
+// depends on worker completion order. The workers never share capacity
+// after the initial proportional grant, so the saved-GPU-hour drift
+// bound documented on RunSharded applies (pinned by
+// TestShardedSavingsDriftBound); latency distributions are shard-local —
+// unbiased but not sample-identical. A caller that needs exact metrics
+// sets Config.ShardCapacity to LeasePool, and every sharded runner then
+// returns the unsharded run itself (pinned by TestLeasePoolCapacityExact;
+// docs/SHARDING.md).
 //
 // Crossing-cost accounting in RunFederated: every federation boundary
 // crossing is charged from federation.Federation.Penalty — either the
@@ -84,9 +80,8 @@
 //     docs/FAULTS.md). The stream derives from (FaultSpec, Seed) alone
 //     and its RNGs are disjoint from every workload stream, so a nil or
 //     empty spec is byte-identical to the fault layer not existing
-//     (TestZeroFaultSpecIsIdentity) and the lease pool's capacity ledger
-//     replays the identical crash sequence — sharded fault metrics are
-//     exact at any shard count (TestFaultRunsDoubleRunByteIdentical).
+//     (TestZeroFaultSpecIsIdentity), and a fixed config replays the
+//     identical crash sequence (TestFaultRunsDoubleRunByteIdentical).
 //     Quorum-preserving replica loss fails over without interrupting the
 //     running task; executor death or quorum loss aborts into
 //     checkpoint-restore resubmission under SLO-class retry budgets.

@@ -22,9 +22,8 @@ import (
 //     schedules no events, draws no randomness, and allocates nothing, so
 //     failure-free runs stay byte-identical to builds without this file.
 //   - Fault timing is a pure function of (FaultSpec, Seed, host slot) via
-//     trace.HostFault/OutageRNG — workload-independent, so the lease
-//     pool's capacity ledger (a full replay of the parent config) sees the
-//     identical fault stream and sharded capacity metrics stay exact.
+//     trace.HostFault/OutageRNG — workload-independent, so every replay
+//     of a config sees the identical fault stream.
 //   - Crash-path randomness (failover elections, container starts during
 //     replica rehoming) comes from a dedicated RNG (Seed+3), never from
 //     the scheduling or workload streams.
@@ -93,8 +92,8 @@ func (s *sim) noteHosts(d float64) {
 
 // armHostFaults gives a freshly joined host its availability tick and its
 // deterministic crash clock: the (uptime, downtime) pair is a pure
-// function of (spec, seed, host slot), so replays — in particular the
-// lease pool's capacity ledger — see the identical stream.
+// function of (spec, seed, host slot), so replays see the identical
+// stream.
 func (s *sim) armHostFaults(sh *simHost) {
 	s.noteHosts(1)
 	if up, down := s.cfg.Faults.HostFault(s.cfg.Seed, uint64(s.hostSeq)); up > 0 {
@@ -105,8 +104,8 @@ func (s *sim) armHostFaults(sh *simHost) {
 // crashHost kills one host: it leaves the cluster immediately (forced
 // removal — resident replicas die with it), affected sessions repair
 // (failover or abort+restart), and a fresh replacement host joins after
-// the repair time. A host that already left the cluster — scale-in, lease
-// donation — makes the crash a no-op: its clock died with it.
+// the repair time. A host that already left the cluster by scale-in makes
+// the crash a no-op: its clock died with it.
 func (s *sim) crashHost(sh *simHost, down time.Duration) {
 	idx := -1
 	for i, x := range s.hostList {

@@ -172,26 +172,16 @@ type FedConfig struct {
 	SampleEvery time.Duration
 	// ShardCapacity selects how the sharded federated runners treat member
 	// capacity (RunFederated itself ignores it): LegacySplit (the zero
-	// value) keeps the static proportional split, LeasePool reconciles a
-	// shared per-member capacity pool at epoch barriers. See
+	// value) keeps the static proportional split, LeasePool does not split,
+	// so the sharded runners return RunFederated's result. See
 	// RunFederatedSharded and docs/SHARDING.md.
 	ShardCapacity ShardCapacity
-	// LeaseEpoch is the barrier period of the LeasePool capacity protocol
-	// (default AutoscaleInterval). Only meaningful with
-	// ShardCapacity == LeasePool.
-	LeaseEpoch time.Duration
 	// Faults declares the deterministic fault model (see Config.Faults):
 	// per-host crash/recover churn, outage windows — scopable to one
 	// member by name — and network-degradation episodes that scale every
 	// inter-cluster penalty for their window. Nil or empty means a
 	// failure-free world and leaves the run byte-identical.
 	Faults *trace.FaultSpec
-
-	// leaseManaged marks a sharded worker federation whose capacity is
-	// governed by a lease pool at epoch barriers: the worker's own
-	// autoscale ticks (pooled or per-member) are suppressed. Set only by
-	// the lease runner, never by callers.
-	leaseManaged bool
 }
 
 func (c *FedConfig) withDefaults() error {
@@ -277,9 +267,6 @@ func (c *FedConfig) withDefaults() error {
 	}
 	if c.AutoscaleInterval <= 0 {
 		c.AutoscaleInterval = time.Minute
-	}
-	if c.LeaseEpoch <= 0 {
-		c.LeaseEpoch = c.AutoscaleInterval
 	}
 	if c.Latencies.GSProcess == nil {
 		c.Latencies = DefaultLatencies()
@@ -661,12 +648,8 @@ func newFedSim(cfg FedConfig) (*fedSim, error) {
 		}
 	}
 
-	// A lease-managed worker skips its own autoscale ticks: the pool runs
-	// the same decision once per barrier over the pooled member loads.
 	s.scheduleSampling()
-	if !cfg.leaseManaged {
-		s.scheduleAutoscale()
-	}
+	s.scheduleAutoscale()
 	return s, nil
 }
 
@@ -715,9 +698,7 @@ func (s *fedSim) fitsSomeMember(sess *trace.Session) error {
 // the error.
 func (s *fedSim) reject(err error) {
 	s.inputErr = err
-	if !s.cfg.leaseManaged {
-		s.eng.Stop()
-	}
+	s.eng.Stop()
 }
 
 func (s *fedSim) addHost(member int) *fedHost {
@@ -1130,15 +1111,9 @@ func (s *fedSim) autoscalePooled() {
 
 // provisionHosts starts need hosts toward member idx: they count as
 // pending (toward autoscaler capacity) immediately and land after the
-// provisioning latency.
+// provisioning latency, one HostProvision draw.
 func (s *fedSim) provisionHosts(idx, need int) {
-	s.provisionHostsAfter(idx, need, s.cfg.Latencies.HostProvision(s.rng))
-}
-
-// provisionHostsAfter is provisionHosts with the provisioning latency as
-// a parameter, so the lease pool can charge a pool-rng draw (one per
-// pooled decision) instead of a worker-rng draw.
-func (s *fedSim) provisionHostsAfter(idx, need int, provision time.Duration) {
+	provision := s.cfg.Latencies.HostProvision(s.rng)
 	m := s.members[idx]
 	m.pendingHosts += need
 	s.res.ScaleOuts++

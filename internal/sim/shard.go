@@ -8,6 +8,21 @@ import (
 	"notebookos/internal/trace"
 )
 
+// ShardCapacity selects how sharded runners treat cluster capacity; see
+// Config.ShardCapacity.
+type ShardCapacity int
+
+const (
+	// LegacySplit is the static proportional capacity split (the zero
+	// value): shards never share capacity after the initial grant. Fast,
+	// but saved-GPUh drifts with k (docs/SHARDING.md, "Measured drift").
+	LegacySplit ShardCapacity = iota
+	// LeasePool means no split: the sharded runners return the unsharded
+	// run, so every metric is exactly the unsharded one at any shard
+	// count. Benchmarks name it, so the name stays.
+	LeasePool
+)
+
 // ShardSeed derives the seed for shard index i from a run seed as
 // seed ^ splitmix64(i) — the one shared helper every sharded path
 // (RunSharded, RunFederatedSharded, and the streaming generators via
@@ -34,7 +49,8 @@ func splitmix64(x uint64) uint64 {
 // RunSharded partitions the config's trace into k session-partitioned
 // shards (trace.Split), runs one worker simulation per shard on parallel
 // goroutines, and merges the workers deterministically with MergeResults.
-// k <= 1 is exactly Run — byte-identical output, same seed.
+// k <= 1, or cfg.ShardCapacity == LeasePool, is exactly Run —
+// byte-identical output, same seed.
 //
 // Capacity splits proportionally to each shard's reserved-GPU-hour weight
 // via trace.ProportionalShares: Hosts (floored at 1 per shard, so every
@@ -43,30 +59,17 @@ func splitmix64(x uint64) uint64 {
 // default), and ScalingBufferHosts (no floor; its zero is a real zero).
 // Worker i runs with ShardSeed(Seed, i).
 //
-// Capacity semantics depend on cfg.ShardCapacity (see docs/SHARDING.md
-// for the full story and measured drift):
-//
-//   - LeasePool (recommended): the proportional split is only the initial
-//     lease grant. A capacity ledger — a full unsharded replay of cfg —
-//     runs alongside the workers, and at every epoch boundary
-//     (cfg.LeaseEpoch, default the autoscale interval) the workers'
-//     leases are re-apportioned to sum exactly to the ledger's live host
-//     count. The merged result reports the ledger's capacity metrics, so
-//     saved-GPU-hours, scale events, and every other cluster-determined
-//     number are byte-identical to the unsharded run at every k — drift
-//     exactly 0.000% (pinned by TestLeasePoolCapacityExact and, at ≤1%,
-//     by TestShardedSavingsDriftBound).
-//   - LegacySplit (the zero value): shards never share capacity after the
-//     initial grant. A worker saturates or autoscales on its own shard's
-//     load, so transient peaks the unsharded cluster absorbed with another
-//     shard's idle GPUs instead trigger per-shard scale-outs, and merged
-//     saved-GPU-hours drift below the unsharded run — measured 7-8% at
-//     k=2 and 19-22% at k=4 (bounded at 12% / 25% by the same test).
-//
-// Interactivity and TCT distributions are unbiased by construction under
-// either mode: every task runs under the same policy code.
+// Shards never share capacity after the initial grant. A worker
+// saturates or autoscales on its own shard's load, so transient peaks the
+// unsharded cluster absorbed with another shard's idle GPUs instead
+// trigger per-shard scale-outs, and merged saved-GPU-hours drift below
+// the unsharded run — measured 7-8% at k=2 and 19-22% at k=4 (bounded at
+// 12% / 25% by TestShardedSavingsDriftBound; see docs/SHARDING.md).
+// Interactivity and TCT distributions are unbiased by construction: every
+// task runs under the same policy code. Callers that need exact capacity
+// metrics pass LeasePool, which runs unsharded.
 func RunSharded(cfg Config, shards int) (*Result, error) {
-	if shards <= 1 {
+	if shards <= 1 || cfg.ShardCapacity == LeasePool {
 		return Run(cfg)
 	}
 	if err := cfg.withDefaults(); err != nil {
@@ -101,9 +104,6 @@ func RunSharded(cfg Config, shards int) (*Result, error) {
 		wcfg.ScalingBufferHosts = buffers[i]
 		wcfg.Seed = ShardSeed(cfg.Seed, i)
 		wcfgs[i] = wcfg
-	}
-	if cfg.ShardCapacity == LeasePool {
-		return runShardedLeased(cfg, wcfgs)
 	}
 
 	results := make([]*Result, len(parts))
@@ -284,17 +284,10 @@ func mergeEvents(results []*Result, total int) []Event {
 // FedMinHosts floor — whether caller-set or defaulted by the parent
 // config — split proportionally across the shards like the hosts do
 // (floored at 1 per worker), so the configured scale-in policy survives
-// sharding. k <= 1 is exactly RunFederated. Capacity semantics follow
-// cfg.ShardCapacity as in RunSharded, applied per member: under LeasePool
-// a ledger federation replays the whole cfg (including PooledAutoscale's
-// one-decision-per-tick over the pooled counters), leases move between
-// shards within a member (host shapes differ across members), and each
-// member's lease total is pinned to the ledger member's live host count —
-// so per-member capacity series and the federation-wide savings are exact
-// (TestLeasePoolFederatedCapacityExact); under LegacySplit shard
-// federations never share capacity.
+// sharding. Shard federations never share capacity, as in RunSharded.
+// k <= 1, or cfg.ShardCapacity == LeasePool, is exactly RunFederated.
 func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
-	if shards <= 1 {
+	if shards <= 1 || cfg.ShardCapacity == LeasePool {
 		return RunFederated(cfg)
 	}
 	if err := cfg.withDefaults(); err != nil {
@@ -359,9 +352,6 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 		// not be shared across the parallel workers.
 		wcfg.Route = federation.FreshPolicy(cfg.Route)
 		wcfgs[i] = wcfg
-	}
-	if cfg.ShardCapacity == LeasePool {
-		return runFederatedShardedLeased(cfg, wcfgs)
 	}
 
 	results := make([]*FedResult, len(parts))

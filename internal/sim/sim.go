@@ -109,27 +109,16 @@ type Config struct {
 	// ShardCapacity selects how the sharded runners treat cluster capacity.
 	// Run itself ignores it: the choice only exists when a trace is split
 	// across workers. LegacySplit (the zero value) keeps the static
-	// proportional split; LeasePool reconciles a shared virtual capacity
-	// pool at epoch barriers so k>1 tracks the unsharded run to ~1%. See
-	// RunSharded and docs/SHARDING.md.
+	// proportional split; LeasePool does not split at all, so the sharded
+	// runners return the unsharded run. See RunSharded and
+	// docs/SHARDING.md.
 	ShardCapacity ShardCapacity
-	// LeaseEpoch is the barrier period of the LeasePool capacity protocol
-	// (default AutoscaleInterval, so pooled capacity decisions keep the
-	// unsharded autoscaler's cadence). Only meaningful with
-	// ShardCapacity == LeasePool.
-	LeaseEpoch time.Duration
 	// Faults declares the deterministic fault model: per-host exponential
 	// crash/recover churn, scheduled outage windows, and (in federated
 	// runs) network-degradation episodes. Nil or empty means a
 	// failure-free world and leaves the run byte-identical to builds
 	// without fault injection; see trace.FaultSpec and docs/FAULTS.md.
 	Faults *trace.FaultSpec
-
-	// leaseManaged marks a sharded worker whose capacity is governed by a
-	// lease pool at epoch barriers: the worker's own autoscale ticks are
-	// suppressed (the pool makes one global decision per barrier with the
-	// unsharded formula). Set only by the lease runner, never by callers.
-	leaseManaged bool
 }
 
 func (c *Config) withDefaults() error {
@@ -162,9 +151,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.AutoscaleInterval <= 0 {
 		c.AutoscaleInterval = time.Minute
-	}
-	if c.LeaseEpoch <= 0 {
-		c.LeaseEpoch = c.AutoscaleInterval
 	}
 	if c.MinHosts <= 0 {
 		c.MinHosts = 4
@@ -367,14 +353,6 @@ type sim struct {
 	faultsOn      bool
 	frng          *rand.Rand
 	faultSessions []*simSession
-
-	// Lease-pool bookkeeping, maintained only when cfg.leaseManaged: the
-	// live NotebookOS sessions in arrival order (so barrier-time replica
-	// rehoming can find a replica's owner deterministically) and the
-	// largest per-session GPU request seen (the headroom margin the pool
-	// plans with).
-	leaseSessions []*simSession
-	leaseMaxReq   int
 }
 
 // holderKind names the exclusive-commit key namespace each policy's task
@@ -446,11 +424,9 @@ func Run(cfg Config) (*Result, error) {
 
 // newSim builds a ready-to-run simulation: cluster and hosts in place,
 // every trace (or injector) event scheduled, sampling and autoscale ticks
-// armed. Callers drive the engine themselves — Run in one RunUntil shot to
-// past the window's end, the lease runner (runLeased) in epoch-sized steps
-// with barrier reconciliation between them — and then collect the result
-// with finish. Pair with close, which releases the streaming source's
-// iterator.
+// armed. Run drives the engine to past the window's end and collects the
+// result with finish. Pair with close, which releases the streaming
+// source's iterator.
 func newSim(cfg Config) (*sim, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -589,11 +565,9 @@ func newSim(cfg Config) (*sim, error) {
 		}
 	}
 
-	// Periodic sampling and autoscaling. A lease-managed worker skips its
-	// own autoscale ticks: the pool runs the same formula once per barrier
-	// over the pooled counters instead.
+	// Periodic sampling and autoscaling.
 	s.scheduleSampling()
-	if (cfg.Policy == PolicyNotebookOS || cfg.Policy == PolicyLCP) && !cfg.leaseManaged {
+	if cfg.Policy == PolicyNotebookOS || cfg.Policy == PolicyLCP {
 		s.scheduleAutoscale()
 	}
 	return s, nil
@@ -637,14 +611,10 @@ func fitsHost(sess *trace.Session, capacity resources.Spec) error {
 }
 
 // rejectStream records a streamed session's input error and ends the
-// run: the injector admits nothing more, and finish returns the error. A
-// lease-managed engine is stepped by the barrier protocol and keeps
-// running, with no further admissions, until the others finish.
+// run: the injector admits nothing more, and finish returns the error.
 func (s *sim) rejectStream(err error) {
 	s.inputErr = err
-	if !s.cfg.leaseManaged {
-		s.eng.Stop()
-	}
+	s.eng.Stop()
 }
 
 func (s *sim) addHost() *simHost {
@@ -710,12 +680,6 @@ func (s *sim) sessionStart(ss *simSession) {
 			_ = h.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
 		}
 		ss.hosts = hosts
-		if s.cfg.leaseManaged {
-			s.leaseSessions = append(s.leaseSessions, ss)
-			if ss.req.GPUs > s.leaseMaxReq {
-				s.leaseMaxReq = ss.req.GPUs
-			}
-		}
 		s.recordEvent(scheduler.EventKernelCreated)
 		s.sampleSR()
 	case PolicyBatch, PolicyLCP:
@@ -749,14 +713,6 @@ func (s *sim) sessionEnd(ss *simSession) {
 				continue // crash-emptied slot (faults.go)
 			}
 			_ = h.RemoveReplica(ss.replicaKeyFor(i + 1))
-		}
-		if s.cfg.leaseManaged {
-			for i, live := range s.leaseSessions {
-				if live == ss {
-					s.leaseSessions = append(s.leaseSessions[:i], s.leaseSessions[i+1:]...)
-					break
-				}
-			}
 		}
 		s.sampleSR()
 	}
@@ -1207,7 +1163,7 @@ func (s *sim) autoscaleOnce() {
 
 	if float64(total) < expected {
 		need := int(math.Ceil((expected - float64(total)) / float64(gpusPerHost)))
-		s.provisionAt(need, s.cfg.Latencies.HostProvision(s.rng))
+		s.provisionAt(need)
 		return
 	}
 	// Scale in: release up to 2 empty servers (no replicas, nothing
@@ -1246,11 +1202,9 @@ func (s *sim) autoscaleOnce() {
 }
 
 // provisionAt starts a scale-out of need hosts: they count as pending
-// immediately and land after the given provisioning latency. The latency
-// is a parameter, not a draw, so the lease pool can charge its own rng's
-// draw (one per pooled decision, like the unsharded autoscaler's one per
-// tick) while the worker's local paths pass a worker-rng draw.
-func (s *sim) provisionAt(need int, provision time.Duration) {
+// immediately and land after one HostProvision draw.
+func (s *sim) provisionAt(need int) {
+	provision := s.cfg.Latencies.HostProvision(s.rng)
 	s.pendingHosts += need
 	s.res.ScaleOuts++
 	s.recordEvent(scheduler.EventScaleOut)

@@ -139,22 +139,26 @@ func (in *fedInjector) Fire() {
 // exact splitting every shard has the same expected reserved-GPU-hours (the
 // analytic GenConfig.Expect, not a trace scan), so the proportional-share
 // weights are uniform by construction. Worker i simulates with
-// ShardSeed(Seed, i), mirroring RunSharded; k <= 1 runs a single streaming
-// simulation of the whole config. Capacity semantics follow
-// cfg.ShardCapacity as in RunSharded: under LeasePool the capacity ledger
-// streams its own unsplit generator of gcfg, so capacity metrics equal
-// the unsharded streaming run's exactly (TestLeasePoolStreamCapacityExact);
-// the zero-value LegacySplit keeps the static equal split. One streaming
-// caveat: the shard generators draw per-shard seeds, so the workers'
-// union is distributionally — not samplewise — the ledger's workload,
-// and merged task counts are near-equal rather than identical
-// (docs/SHARDING.md, "Streaming").
+// ShardSeed(Seed, i), mirroring RunSharded; k <= 1, or cfg.ShardCapacity
+// == LeasePool, runs a single streaming simulation of the whole config.
+// One streaming caveat: the shard generators draw per-shard seeds, so the
+// workers' union is distributionally — not samplewise — the unsharded
+// workload, and merged task counts are near-equal rather than identical
+// (docs/SHARDING.md).
 //
 // cfg.Trace and cfg.Source must be nil; each worker gets its shard's
 // generator as its Source. Pass cfg.LeanMetrics to keep the workers'
 // results window-bounded — with it, peak memory is governed by session
 // *concurrency* and the simulated window, not by total session count.
 func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, error) {
+	if cfg.ShardCapacity == LeasePool {
+		src, err := trace.NewStreamGen(gcfg, 0, 1)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Trace, cfg.Source = nil, src
+		return Run(cfg)
+	}
 	gens, err := streamShards(gcfg, &cfg.Trace, &cfg.Source, func() error { return cfg.withDefaults() },
 		func() int { return cfg.Hosts }, &shards)
 	if err != nil {
@@ -179,17 +183,6 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 		wcfg.Seed = ShardSeed(cfg.Seed, i)
 		wcfgs[i] = wcfg
 	}
-	if cfg.ShardCapacity == LeasePool {
-		// The capacity ledger replays the whole workload: give it its own
-		// unsplit stream of gcfg (same seed, same sessions the shard
-		// generators partition among themselves).
-		full, err := trace.NewStreamGen(gcfg, 0, 1)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Source = full
-		return runShardedLeased(cfg, wcfgs)
-	}
 
 	results := make([]*Result, shards)
 	errs := make([]error, shards)
@@ -213,8 +206,16 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 // RunFederatedStreamSharded is RunFederatedSharded against streaming
 // shards (see RunStreamSharded): each worker federation replays its own
 // exact Poisson split of gcfg. The smallest member bounds the shard count,
-// as in the materialized version.
+// as in the materialized version; LeasePool runs unsharded.
 func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) (*FedResult, error) {
+	if cfg.ShardCapacity == LeasePool {
+		src, err := trace.NewStreamGen(gcfg, 0, 1)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Trace, cfg.Source = nil, src
+		return RunFederated(cfg)
+	}
 	smallest := func() int {
 		min := cfg.Clusters[0].Hosts
 		for _, spec := range cfg.Clusters {
@@ -263,14 +264,6 @@ func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) 
 		// not be shared across the parallel workers.
 		wcfg.Route = federation.FreshPolicy(cfg.Route)
 		wcfgs[i] = wcfg
-	}
-	if cfg.ShardCapacity == LeasePool {
-		full, err := trace.NewStreamGen(gcfg, 0, 1)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Source = full
-		return runFederatedShardedLeased(cfg, wcfgs)
 	}
 
 	results := make([]*FedResult, shards)
