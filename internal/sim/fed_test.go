@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"notebookos/internal/federation"
+	"notebookos/internal/metrics"
 	"notebookos/internal/trace"
 )
 
@@ -170,5 +172,128 @@ func TestDefaultFedClustersConserveHosts(t *testing.T) {
 			t.Errorf("k=%d: expected heterogeneous sizes, got %d..%d",
 				k, specs[0].Hosts, specs[k-1].Hosts)
 		}
+	}
+}
+
+// TestRunIsOneMemberFederation pins the single-cluster run to the
+// federated engine: Run(PolicyNotebookOS) and a one-member RunFederated
+// with the same host count, scale-in floor and seed must agree exactly on
+// every output the two results share — counters, sample values, and
+// timeline points — on a materialized trace and on a streamed lean
+// source, each with and without faults.
+func TestRunIsOneMemberFederation(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(42)
+	gcfg.Duration = 4 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	heavy := trace.HeavyFaultProfile()
+	for _, tc := range []struct {
+		name   string
+		stream bool
+		faults *trace.FaultSpec
+	}{
+		{"materialized", false, nil},
+		{"materialized-heavy", false, &heavy},
+		{"stream-lean", true, nil},
+		{"stream-lean-heavy", true, &heavy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, MinHosts: 4, Seed: 7, Faults: tc.faults}
+			fcfg := FedConfig{Trace: tr, Clusters: []FedClusterSpec{{Hosts: 30, MinHosts: 4}}, Seed: 7, Faults: tc.faults}
+			if tc.stream {
+				for _, src := range []*trace.Source{&cfg.Source, &fcfg.Source} {
+					gen, err := trace.NewStreamGen(gcfg, 0, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					*src = gen
+				}
+				cfg.Trace, fcfg.Trace = nil, nil
+				cfg.LeanMetrics, fcfg.LeanMetrics = true, true
+			}
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := RunFederated(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counters := []struct {
+				name     string
+				run, fed int
+			}{
+				{"Tasks", r.Tasks, f.Tasks},
+				{"ImmediateCommits", r.ImmediateCommits, f.ImmediateCommits},
+				{"Migrations", r.Migrations, f.Migrations},
+				{"ScaleOuts", r.ScaleOuts, f.ScaleOuts},
+				{"ScaleIns", r.ScaleIns, f.ScaleIns},
+				{"ColdStarts", r.ColdStarts, f.ColdStarts},
+				{"WarmStarts", r.WarmStarts, f.WarmStarts},
+				{"HostCrashes", r.HostCrashes, f.HostCrashes},
+				{"HostRecoveries", r.HostRecoveries, f.HostRecoveries},
+				{"Failovers", r.Failovers, f.Failovers},
+				{"TaskRestarts", r.TaskRestarts, f.TaskRestarts},
+				{"Abandonments", r.Abandonments, f.Abandonments},
+			}
+			for _, c := range counters {
+				if c.run != c.fed {
+					t.Errorf("%s: Run %d, RunFederated %d", c.name, c.run, c.fed)
+				}
+			}
+			if r.Tasks == 0 || r.Migrations == 0 {
+				t.Errorf("fixture too quiet: %d tasks, %d migrations", r.Tasks, r.Migrations)
+			}
+			if tc.faults != nil && r.HostCrashes == 0 {
+				t.Error("fault fixture crashed no host")
+			}
+			floats := []struct {
+				name     string
+				run, fed float64
+			}{
+				{"LostGPUHours", r.LostGPUHours, f.LostGPUHours},
+				{"ReservedGPUHours", r.ReservedGPUHours, f.ReservedGPUHours},
+				{"ActiveGPUHours", r.ActiveGPUHours, f.ActiveGPUHours},
+			}
+			for _, c := range floats {
+				if c.run != c.fed {
+					t.Errorf("%s: Run %v, RunFederated %v", c.name, c.run, c.fed)
+				}
+			}
+			samples := []struct {
+				name     string
+				run, fed *metrics.Sample
+			}{
+				{"Interactivity", r.Interactivity, f.Interactivity},
+				{"TCT", r.TCT, f.TCT},
+				{"RecoveryTime", r.RecoveryTime, f.RecoveryTime},
+			}
+			for _, c := range samples {
+				if (c.run == nil) != (c.fed == nil) {
+					t.Errorf("%s: presence differs", c.name)
+					continue
+				}
+				if c.run != nil && !reflect.DeepEqual(c.run.Values(), c.fed.Values()) {
+					t.Errorf("%s: sample values differ (N %d vs %d)", c.name, c.run.N(), c.fed.N())
+				}
+			}
+			timelines := []struct {
+				name     string
+				run, fed *metrics.Timeline
+			}{
+				// The member's own series: FedResult's federation-wide ones
+				// are their merge, which drops the lean coalescing setting.
+				{"ProvisionedGPUs", r.ProvisionedGPUs, f.Clusters[0].ProvisionedGPUs},
+				{"CommittedGPUs", r.CommittedGPUs, f.Clusters[0].CommittedGPUs},
+				{"ActiveSessions", r.ActiveSessions, f.ActiveSessions},
+				{"Availability", r.Availability, f.Availability},
+			}
+			for _, c := range timelines {
+				// DeepEqual walks the timelines' point slices, so equality is
+				// point for point, not just equal integrals.
+				if !reflect.DeepEqual(c.run, c.fed) {
+					t.Errorf("%s: timelines differ (%d vs %d points)", c.name, c.run.Len(), c.fed.Len())
+				}
+			}
+		})
 	}
 }

@@ -345,6 +345,10 @@ type sim struct {
 	// cluster's Release/AddHost notifications.
 	waitq *capacityWaitQueue
 
+	// rrng feeds the record-only draws (the Fig. 11 async Sync and store-Put
+	// latencies), so recording never perturbs the scheduling RNG.
+	rrng *rand.Rand
+
 	// Fault-injection state (see faults.go), live only when cfg.Faults is
 	// enabled: frng feeds the crash-path draws (elections, container
 	// starts during repair) so fault handling never perturbs the
@@ -453,6 +457,7 @@ func newSim(cfg Config) (*sim, error) {
 		lean:      cfg.LeanMetrics,
 		kind:      holderKind(cfg.Policy),
 		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
+		rrng:      rand.New(rand.NewSource(cfg.Seed + 4)),
 		waitq:     newCapacityWaitQueue(eng),
 	}
 	s.policy = scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark}
@@ -939,14 +944,7 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 	if target == nil {
 		// Scale out; the AddHost notification wakes the wait-queue.
 		if s.pendingHosts == 0 {
-			s.pendingHosts++
-			s.res.ScaleOuts++
-			s.recordEvent(scheduler.EventScaleOut)
-			provision := lat.HostProvision(s.rng)
-			s.eng.Defer(provision, func() {
-				s.addHost()
-				s.pendingHosts--
-			})
+			s.provisionAt(1)
 		}
 		return false
 	}

@@ -181,8 +181,8 @@ func (t *nbosTask) Fire() {
 		s.sampleStep(StepPostProc, off)
 		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
 		// Record the async replication costs for Fig. 11.
-		s.res.SyncLatency.Add(s.cfg.Latencies.Sync(s.rng).Seconds())
-		s.res.WriteLatency.Add(s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng).Seconds())
+		s.res.SyncLatency.Add(s.cfg.Latencies.Sync(s.rrng).Seconds())
+		s.res.WriteLatency.Add(s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rrng).Seconds())
 		t.off = off
 		s.eng.DeferRunner(off+ret, t)
 	case 2: // reply returned
