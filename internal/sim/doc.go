@@ -6,14 +6,23 @@
 // models calibrated against the live implementation and the paper's
 // reported distributions.
 //
-// Entry points: Run simulates one policy against one cluster;
-// RunFederated simulates the NotebookOS policy against a federation of
-// independently sized clusters (see internal/federation), routing
-// session placement and cross-cluster replica migration under a
-// pluggable federation route policy; RunSharded (and its federated twin
-// RunFederatedSharded) splits a long trace into session-partitioned
-// shards via trace.Split, replays one worker simulation per shard on
-// parallel goroutines with ShardSeed-derived seeds, and merges the
+// One engine: the simulator is a federation of member clusters under one
+// policy. RunFederated runs it for the NotebookOS policy against
+// independently sized clusters (see internal/federation), routing session
+// placement and cross-cluster replica migration under a pluggable
+// federation route policy. Run is the same engine with one member, sized
+// from Config.Hosts/HostCapacity/MinHosts/ScalingBufferHosts under
+// LocalFirst routing, running any of the four policies; Reservation,
+// Batch and LCP keep their own task paths over that member's hosts. Each
+// runner projects the engine into its result type, and the recorders only
+// Result exposes (SR, Fig. 10 events, the per-step breakdown,
+// Sync/Read/Write samples, ExecutorReuse) exist only under Run. A
+// one-member RunFederated reproduces every output it shares with
+// Run(PolicyNotebookOS) exactly (TestRunIsOneMemberFederation).
+//
+// RunSharded (and RunFederatedSharded) splits a long trace into
+// session-partitioned shards via trace.Split, replays one worker
+// simulation per shard on parallel goroutines with ShardSeed-derived seeds, and merges the
 // results deterministically with MergeResults/MergeFedResults —
 // timelines through metrics.MergeTimelines, samples through
 // metrics.MergeSamples (k-way merges of the shards' sorted runs, so
@@ -56,7 +65,11 @@
 //   - Determinism: a fixed Config (including Seed) replays bit-for-bit,
 //     regardless of goroutine scheduling in the surrounding experiment
 //     harness. All randomness comes from rand.Rand instances seeded only
-//     by the config; tasks blocked on capacity park on a FIFO wait-queue
+//     by the config: Seed+1 drives scheduling, Seed+2 workload
+//     assignment, Seed+3 the fault path (faults enabled only), Seed+4 the
+//     record-only Fig. 11 Sync/Put draws (Run only, so recording never
+//     perturbs scheduling), and Seed+1001 onward the lean-metrics
+//     reservoirs, created in a fixed order; tasks blocked on capacity park on a FIFO wait-queue
 //     drained as a single DES event (see capacityWaitQueue), never on
 //     polling timers; nothing iterates Go maps on result-affecting paths;
 //     and pooled autoscaling decisions are pure functions of the observed

@@ -172,7 +172,7 @@ func TestFaultRunsDoubleRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFederatedFaultsDoubleRunByteIdentical is the federated twin,
+// TestFederatedFaultsDoubleRunByteIdentical is the federated counterpart,
 // additionally exercising member-scoped outages and the penalty-scale
 // degradation path.
 func TestFederatedFaultsDoubleRunByteIdentical(t *testing.T) {
@@ -252,7 +252,7 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 	// Enabled spec with astronomically rare natural crashes: the only crash
 	// in this run is the one the test injects.
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := newRunSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 
 	ss, nt := probeRunningNbosSession(t, s)
 	var victim *simHost
-	for _, sh := range s.hostList {
-		if sh.h == nt.h {
+	for _, sh := range s.members[0].hosts {
+		if sh == nt.sh {
 			continue // never the executor
 		}
-		if hostsContain(ss.hosts, sh.h) {
+		if hostsContain(ss.hosts, sh) {
 			victim = sh
 			break
 		}
@@ -284,20 +284,20 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 	if nt.dead {
 		t.Error("the in-flight task must survive a quorum-preserving failover")
 	}
-	for i, h := range ss.hosts {
-		if h == nil {
+	for i, sh := range ss.hosts {
+		if sh == nil {
 			t.Errorf("replica slot %d not rehomed after failover", i)
 		}
-		if h == victim.h {
+		if sh == victim {
 			t.Errorf("replica slot %d still points at the crashed host", i)
 		}
 	}
 	// The run must still complete and stay internally consistent.
 	s.eng.RunUntil(s.end.Add(24 * time.Hour))
-	res, err := s.finish()
-	if err != nil {
+	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}
+	res := s.result()
 	if res.HostCrashes != 1 || res.HostRecoveries != 1 {
 		t.Errorf("expected exactly the injected crash/recovery, got %d/%d", res.HostCrashes, res.HostRecoveries)
 	}
@@ -311,23 +311,14 @@ func TestExecutorCrashRestartsTask(t *testing.T) {
 	gcfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := newRunSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.close()
 
 	_, nt := probeRunningNbosSession(t, s)
-	var victim *simHost
-	for _, sh := range s.hostList {
-		if sh.h == nt.h {
-			victim = sh
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("executor host not in host list")
-	}
+	victim := nt.sh
 	s.crashHost(victim, time.Hour)
 	if !nt.dead {
 		t.Fatal("executor crash must abort the in-flight task")
@@ -336,10 +327,10 @@ func TestExecutorCrashRestartsTask(t *testing.T) {
 		t.Errorf("executor crash must restart the task once, got %d", s.res.TaskRestarts)
 	}
 	s.eng.RunUntil(s.end.Add(24 * time.Hour))
-	res, err := s.finish()
-	if err != nil {
+	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}
+	res := s.result()
 	if res.Abandonments != 0 {
 		t.Errorf("one restart is within every retry budget, got %d abandonments", res.Abandonments)
 	}
@@ -356,7 +347,7 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 	gcfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := newRunSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,22 +358,17 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 	// crash a second: 1 alive of 3 is below quorum.
 	downed := false
 	var victim *simHost
-	for i, h := range ss.hosts {
-		if h == nt.h || h == nil {
+	for i, sh := range ss.hosts {
+		if sh == nt.sh || sh == nil {
 			continue
 		}
 		if !downed {
-			_ = h.RemoveReplica(ss.replicaKeyFor(i + 1))
+			_ = sh.h.RemoveReplica(ss.replicaKeyFor(i + 1))
 			ss.hosts[i] = nil
 			downed = true
 			continue
 		}
-		for _, sh := range s.hostList {
-			if sh.h == h {
-				victim = sh
-				break
-			}
-		}
+		victim = sh
 		break
 	}
 	if !downed || victim == nil {
@@ -409,7 +395,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	gcfg.Duration = 2 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1, MaxRetries: 3}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := newRunSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}

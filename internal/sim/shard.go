@@ -106,15 +106,26 @@ func RunSharded(cfg Config, shards int) (*Result, error) {
 		wcfgs[i] = wcfg
 	}
 
-	results := make([]*Result, len(parts))
-	errs := make([]error, len(parts))
+	results, err := runWorkers(wcfgs, Run)
+	if err != nil {
+		return nil, err
+	}
+	return MergeResults(results...), nil
+}
+
+// runWorkers runs one worker per config on parallel goroutines and
+// returns their results in config order (the shard-index order every
+// merge consumes), or the first error in that order.
+func runWorkers[C, R any](cfgs []C, run func(C) (R, error)) ([]R, error) {
+	results := make([]R, len(cfgs))
+	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup
-	for i := range wcfgs {
+	for i := range cfgs {
 		wg.Add(1)
-		go func(i int, wcfg Config) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = Run(wcfg)
-		}(i, wcfgs[i])
+			results[i], errs[i] = run(cfgs[i])
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -122,7 +133,7 @@ func RunSharded(cfg Config, shards int) (*Result, error) {
 			return nil, err
 		}
 	}
-	return MergeResults(results...), nil
+	return results, nil
 }
 
 // MergeResults combines per-shard worker results into one Result, in the
@@ -215,39 +226,26 @@ func MergeResults(results ...*Result) *Result {
 		out.PlacementCalls += r.PlacementCalls
 		out.PlacementHostVisits += r.PlacementHostVisits
 	}
-	out.Availability = mergeFaultTimelines(results, func(r *Result) *metrics.Timeline { return r.Availability })
-	out.RecoveryTime = mergeFaultSamples(results, func(r *Result) *metrics.Sample { return r.RecoveryTime })
+	out.Availability = mergeFault(results, func(r *Result) *metrics.Timeline { return r.Availability }, metrics.MergeTimelines)
+	out.RecoveryTime = mergeFault(results, func(r *Result) *metrics.Sample { return r.RecoveryTime }, metrics.MergeSamples)
 	return out
 }
 
-// mergeFaultTimelines merges the shards' fault recorders while preserving
-// the zero-fault contract: when no shard recorded one (faults disabled)
-// the merged field stays nil, exactly like an unsharded run's.
-func mergeFaultTimelines(results []*Result, get func(*Result) *metrics.Timeline) *metrics.Timeline {
-	ins := make([]*metrics.Timeline, 0, len(results))
+// mergeFault merges the shards' fault recorders while preserving the
+// zero-fault contract: when no shard recorded one (faults disabled) the
+// merged field stays nil, exactly like an unsharded run's.
+func mergeFault[R any, T comparable](results []R, get func(R) T, merge func(...T) T) T {
+	var zero T
+	ins := make([]T, 0, len(results))
 	for _, r := range results {
-		if tl := get(r); tl != nil {
-			ins = append(ins, tl)
+		if x := get(r); x != zero {
+			ins = append(ins, x)
 		}
 	}
 	if len(ins) == 0 {
-		return nil
+		return zero
 	}
-	return metrics.MergeTimelines(ins...)
-}
-
-// mergeFaultSamples is mergeFaultTimelines for sample recorders.
-func mergeFaultSamples(results []*Result, get func(*Result) *metrics.Sample) *metrics.Sample {
-	ins := make([]*metrics.Sample, 0, len(results))
-	for _, r := range results {
-		if sm := get(r); sm != nil {
-			ins = append(ins, sm)
-		}
-	}
-	if len(ins) == 0 {
-		return nil
-	}
-	return metrics.MergeSamples(ins...)
+	return merge(ins...)
 }
 
 // mergeSamples k-way merges one sample per result via metrics.MergeSamples
@@ -354,21 +352,9 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 		wcfgs[i] = wcfg
 	}
 
-	results := make([]*FedResult, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range wcfgs {
-		wg.Add(1)
-		go func(i int, wcfg FedConfig) {
-			defer wg.Done()
-			results[i], errs[i] = RunFederated(wcfg)
-		}(i, wcfgs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results, err := runWorkers(wcfgs, RunFederated)
+	if err != nil {
+		return nil, err
 	}
 	return MergeFedResults(results...), nil
 }
@@ -478,27 +464,7 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
 	}
-	{
-		ins := make([]*metrics.Timeline, 0, len(results))
-		for _, r := range results {
-			if r.Availability != nil {
-				ins = append(ins, r.Availability)
-			}
-		}
-		if len(ins) > 0 {
-			out.Availability = metrics.MergeTimelines(ins...)
-		}
-	}
-	{
-		ins := make([]*metrics.Sample, 0, len(results))
-		for _, r := range results {
-			if r.RecoveryTime != nil {
-				ins = append(ins, r.RecoveryTime)
-			}
-		}
-		if len(ins) > 0 {
-			out.RecoveryTime = metrics.MergeSamples(ins...)
-		}
-	}
+	out.Availability = mergeFault(results, func(r *FedResult) *metrics.Timeline { return r.Availability }, metrics.MergeTimelines)
+	out.RecoveryTime = mergeFault(results, func(r *FedResult) *metrics.Sample { return r.RecoveryTime }, metrics.MergeSamples)
 	return out
 }

@@ -11,6 +11,7 @@ import (
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/des"
+	"notebookos/internal/federation"
 	"notebookos/internal/metrics"
 	"notebookos/internal/resources"
 	"notebookos/internal/scheduler"
@@ -57,7 +58,8 @@ func Steps() []Step {
 	return []Step{StepE2E, StepGSProcess, StepPreProcess, StepElection, StepIntermed, StepExec, StepPostProc, StepReturn}
 }
 
-// Config parameterizes one simulation run.
+// Config parameterizes one simulation run. A zero field selects its
+// default; a negative count, rate or interval is an error.
 type Config struct {
 	// Trace is the workload to replay. Exactly one of Trace and Source must
 	// be set.
@@ -128,7 +130,15 @@ func (c *Config) withDefaults() error {
 	if c.Trace != nil && c.Source != nil {
 		return fmt.Errorf("sim: config requires exactly one of Trace and Source")
 	}
-	if c.LeanMetrics && c.LeanSampleCap <= 0 {
+	if err := rejectNegative("Config",
+		"Hosts", c.Hosts, "MinHosts", c.MinHosts, "ScalingBufferHosts", c.ScalingBufferHosts,
+		"PrewarmPerHost", c.PrewarmPerHost, "ReplicasPerKernel", c.ReplicasPerKernel,
+		"LeanSampleCap", c.LeanSampleCap, "ScaleFactor", c.ScaleFactor,
+		"SRHighWatermark", c.SRHighWatermark, "SampleEvery", c.SampleEvery,
+		"AutoscaleInterval", c.AutoscaleInterval); err != nil {
+		return err
+	}
+	if c.LeanMetrics && c.LeanSampleCap == 0 {
 		c.LeanSampleCap = 4096
 	}
 	if err := c.Faults.Validate(); err != nil {
@@ -137,31 +147,31 @@ func (c *Config) withDefaults() error {
 	if c.Policy == "" {
 		c.Policy = PolicyNotebookOS
 	}
-	if c.Hosts <= 0 {
+	if c.Hosts == 0 {
 		c.Hosts = 30
 	}
 	if c.HostCapacity.IsZero() {
 		c.HostCapacity = resources.P316xlarge()
 	}
-	if c.ReplicasPerKernel <= 0 {
+	if c.ReplicasPerKernel == 0 {
 		c.ReplicasPerKernel = 3
 	}
-	if c.ScaleFactor <= 0 {
+	if c.ScaleFactor == 0 {
 		c.ScaleFactor = 1.05
 	}
-	if c.AutoscaleInterval <= 0 {
+	if c.AutoscaleInterval == 0 {
 		c.AutoscaleInterval = time.Minute
 	}
-	if c.MinHosts <= 0 {
+	if c.MinHosts == 0 {
 		c.MinHosts = 4
 	}
-	if c.SRHighWatermark <= 0 {
+	if c.SRHighWatermark == 0 {
 		c.SRHighWatermark = scheduler.DefaultSRHighWatermark
 	}
 	if c.Latencies.GSProcess == nil {
 		c.Latencies = DefaultLatencies()
 	}
-	if c.SampleEvery <= 0 {
+	if c.SampleEvery == 0 {
 		c.SampleEvery = 5 * time.Minute
 	}
 	if c.PrewarmPerHost == 0 {
@@ -170,6 +180,28 @@ func (c *Config) withDefaults() error {
 			c.PrewarmPerHost = 6
 		case PolicyNotebookOS:
 			c.PrewarmPerHost = 1
+		}
+	}
+	return nil
+}
+
+// rejectNegative checks name/value pairs of one config type: zero selects
+// a field's default, and a negative (or NaN) value is an error rather than
+// a silent default.
+func rejectNegative(owner string, pairs ...any) error {
+	for i := 0; i+1 < len(pairs); i += 2 {
+		bad := false
+		switch v := pairs[i+1].(type) {
+		case int:
+			bad = v < 0
+		case float64:
+			bad = !(v >= 0)
+		case time.Duration:
+			bad = v < 0
+		}
+		if bad {
+			return fmt.Errorf("sim: %s.%s is %v; it must not be negative (zero selects the default)",
+				owner, pairs[i], pairs[i+1])
 		}
 	}
 	return nil
@@ -259,9 +291,10 @@ type simSession struct {
 	src   *trace.Session
 	req   resources.Spec
 	assig workload.Assignment
+	// home is the member the session was assigned to, round-robin in
+	// arrival order.
+	home int
 
-	// NotebookOS: replica hosts; Reservation: the single reserved host.
-	hosts []*cluster.Host
 	// holder is the session's exclusive-commit key ("<kind>/<id>"), built
 	// once at session creation. A session's tasks are strictly serialized
 	// (running + FCFS queue), so at most one commitment per session is ever
@@ -269,12 +302,14 @@ type simSession struct {
 	// "<kind>/<id>/<nanos>" keys were the task path's largest allocation
 	// source on long traces.
 	holder string
+	// NotebookOS: replica hosts (a nil slot is a crash-emptied replica);
+	// Reservation: the single reserved host.
+	hosts []*simHost
 	// rkeys caches the session's replica subscription keys ("<id>/r<i>"),
 	// built once at kernel creation and reused at shutdown and on every
 	// migration.
 	rkeys        []string
 	lastExecutor int
-	busyUntil    time.Time
 	queue        []trace.Task
 	running      bool
 	closed       bool
@@ -293,23 +328,80 @@ func (ss *simSession) replicaKeyFor(i int) string {
 	return ss.rkeys[i-1]
 }
 
-// simHost pairs a cluster host with the simulator's per-host state (the
-// warm-container count), so the hot placement scans walk one slice
-// instead of re-fetching the host list and hitting a string-keyed map.
+// simHost pairs a cluster host with its member index and the simulator's
+// per-host state (the warm-container count), so the hot placement scans
+// walk one slice instead of re-fetching the host list and hitting a
+// string-keyed map.
 type simHost struct {
-	h *cluster.Host
+	h      *cluster.Host
+	member int
 	// warm counts pre-warmed containers available on the host.
 	warm int
 }
 
-// sim is the mutable simulation state.
+// simMember is one member cluster's mutable simulation state.
+type simMember struct {
+	spec    FedClusterSpec
+	c       *cluster.Cluster
+	hosts   []*simHost
+	res     *FedClusterResult
+	hostSeq int
+	// pendingHosts counts servers being provisioned for this member.
+	pendingHosts int
+	// buffer is the spare-server count the autoscaler keeps
+	// (Config.ScalingBufferHosts; zero for federation members).
+	buffer int
+}
+
+// sim is the simulation engine: a federation of member clusters under one
+// policy. RunFederated runs it with its configured members and the
+// NotebookOS policy; Run runs a one-member engine under any of the four
+// policies (see newRunSim).
 type sim struct {
-	cfg     Config
-	eng     *des.Engine
-	rng     *rand.Rand
-	cluster *cluster.Cluster
-	policy  scheduler.LeastLoaded
-	res     *Result
+	cfg       FedConfig
+	policy    Policy
+	eng       *des.Engine
+	rng       *rand.Rand
+	fed       *federation.Federation
+	members   []*simMember
+	placement scheduler.LeastLoaded
+	// try is the policy's task attempt: it reports whether the task made
+	// progress (runTask parks it on the wait-queue otherwise).
+	try func(ss *simSession, task trace.Task, submit time.Time) bool
+	// byHost resolves the hosts returned by the placement policy back to
+	// their simHost wrappers (warm counts, member index).
+	byHost map[*cluster.Host]*simHost
+	// waitq parks tasks blocked on capacity anywhere in the federation;
+	// it is woken by any member's Release/AddHost.
+	waitq *capacityWaitQueue
+	// autoscaler makes the pooled decisions when cfg.PooledAutoscale is
+	// set; nil in per-member mode.
+	autoscaler *federation.FederatedAutoscaler
+	// loads is the reusable MemberLoad buffer the pooled autoscaler
+	// snapshot fills every interval (one slice for the whole run instead
+	// of one per tick — 90-day runs make tens of thousands of ticks).
+	loads []federation.MemberLoad
+	// route is the reusable ranking scratch for the route policy — the
+	// event loop is single-threaded and ranks clusters on every placement
+	// and remote execution, so one scratch serves the whole run.
+	route federation.RouteScratch
+	// qdepth counts parked capacity waiters per home member — the
+	// QueueDepth signal RoutingSnapshots carry (via SetSnapshotExtras).
+	// Maintained on every park/unpark; it never affects the default path's
+	// event order.
+	qdepth []int
+	res    *FedResult
+	// one holds the recorders only Result exposes: the SR timeline, Fig. 10
+	// events, active trainings, the per-step breakdown, the Sync/Read/Write
+	// samples and ExecutorReuse. It is non-nil only under Run, so federated
+	// runs pay nothing for them, and it marks the single-cluster run, which
+	// ignores member-scoped outages and degradation episodes. rrng feeds
+	// its record-only draws (the Fig. 11 async Sync and store-Put
+	// latencies), so recording never perturbs the scheduling RNG.
+	one  *Result
+	rrng *rand.Rand
+	// kind is the holder-key namespace (see holderKind).
+	kind string
 
 	// start/end bound the simulated window (the trace's or the source's).
 	start, end time.Time
@@ -317,37 +409,23 @@ type sim struct {
 	// mirrors cfg.LeanMetrics for the hot recording paths.
 	streaming bool
 	lean      bool
-	// kind is the holder-key namespace, wr the workload-assignment stream
-	// (shared by the up-front loop and the lazy injector so both draw in
-	// arrival order).
-	kind string
-	wr   *rand.Rand
+	// wr is the workload-assignment stream, shared by the up-front loop
+	// and the lazy injector so both draw in arrival order.
+	wr *rand.Rand
+	// homeSeq counts admitted sessions for round-robin home assignment.
+	homeSeq int
 	// pull yields the source's next session under streaming; stopPull
 	// releases the iterator (see close); srcErr holds the source's
 	// iteration error once the stream is exhausted.
 	pull     func() (*trace.Session, bool)
 	stopPull func()
 	srcErr   error
-	// inputErr records a streamed session no host can hold; the injector
-	// stops admitting and the run returns it (see rejectStream).
+	// inputErr records a session no member can hold; the run stops
+	// admitting and returns it (see reject).
 	inputErr error
 	// reserved integrates reserved GPUs (session request sizes over session
 	// lifetimes) online, replacing the trace-scan integral when streaming.
 	reserved gpuHoursAcc
-
-	hostSeq int
-	// hostList mirrors the cluster membership in insertion order and
-	// carries warm-pool counts.
-	hostList []*simHost
-	// pendingHosts counts servers being provisioned (scale-out latency).
-	pendingHosts int
-	// waitq parks tasks blocked on cluster capacity; it is woken by the
-	// cluster's Release/AddHost notifications.
-	waitq *capacityWaitQueue
-
-	// rrng feeds the record-only draws (the Fig. 11 async Sync and store-Put
-	// latencies), so recording never perturbs the scheduling RNG.
-	rrng *rand.Rand
 
 	// Fault-injection state (see faults.go), live only when cfg.Faults is
 	// enabled: frng feeds the crash-path draws (elections, container
@@ -415,58 +493,101 @@ func decimalDigits(i int) int {
 	return d
 }
 
-// Run executes the simulation and returns its result.
+// Run executes a single-cluster simulation and returns its result. The
+// cluster is a one-member federation run by the same engine as
+// RunFederated, so a one-member RunFederated with the same sizes and seed
+// reproduces every output the two results share
+// (TestRunIsOneMemberFederation).
 func Run(cfg Config) (*Result, error) {
-	s, err := newSim(cfg)
+	s, err := newRunSim(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer s.close()
 	s.eng.RunUntil(s.end.Add(24 * time.Hour))
-	return s.finish()
+	if err := s.finish(); err != nil {
+		return nil, err
+	}
+	return s.result(), nil
 }
 
-// newSim builds a ready-to-run simulation: cluster and hosts in place,
-// every trace (or injector) event scheduled, sampling and autoscale ticks
-// armed. Run drives the engine to past the window's end and collects the
-// result with finish. Pair with close, which releases the streaming
-// source's iterator.
-func newSim(cfg Config) (*sim, error) {
+// newRunSim builds the engine Run drives: one member named "sim", sized
+// from Config.Hosts/HostCapacity/MinHosts/ScalingBufferHosts, under
+// LocalFirst routing, running cfg.Policy.
+func newRunSim(cfg Config) (*sim, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
+	return newSim(FedConfig{
+		Trace:             cfg.Trace,
+		Source:            cfg.Source,
+		LeanMetrics:       cfg.LeanMetrics,
+		LeanSampleCap:     cfg.LeanSampleCap,
+		Clusters:          []FedClusterSpec{{Name: "sim", Hosts: cfg.Hosts, HostCapacity: cfg.HostCapacity, MinHosts: cfg.MinHosts}},
+		Route:             federation.LocalFirst{},
+		ReplicasPerKernel: cfg.ReplicasPerKernel,
+		PrewarmPerHost:    cfg.PrewarmPerHost,
+		SRHighWatermark:   cfg.SRHighWatermark,
+		ScaleFactor:       cfg.ScaleFactor,
+		AutoscaleInterval: cfg.AutoscaleInterval,
+		Latencies:         cfg.Latencies,
+		Seed:              cfg.Seed,
+		SampleEvery:       cfg.SampleEvery,
+		Faults:            cfg.Faults,
+	}, &cfg)
+}
+
+// newSim builds a ready-to-run engine from a defaulted config: members and
+// hosts in place, every trace (or injector) event scheduled, sampling and
+// autoscale ticks armed. run is the single-cluster Config the engine was
+// built from (nil for a federated run): it selects the policy and the
+// scaling buffer and switches on the Result-only recorders. Callers drive
+// the engine to past the window's end and collect with finish; pair with
+// close, which releases the streaming source's iterator.
+func newSim(cfg FedConfig, run *Config) (*sim, error) {
 	src := cfg.Source
 	if src == nil {
-		for _, sess := range cfg.Trace.Sessions {
-			if err := fitsHost(sess, cfg.HostCapacity); err != nil {
-				return nil, err
-			}
-		}
 		src = cfg.Trace.AsSource()
 	}
 	start, end := src.Window()
 	eng := des.New(start)
 	s := &sim{
 		cfg:       cfg,
+		policy:    PolicyNotebookOS,
 		eng:       eng,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		cluster:   cluster.New(cfg.ReplicasPerKernel),
+		fed:       federation.New(cfg.InterClusterPenalty),
+		placement: scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark},
+		byHost:    map[*cluster.Host]*simHost{},
+		waitq:     newCapacityWaitQueue(eng),
 		start:     start,
 		end:       end,
 		streaming: cfg.Source != nil,
 		lean:      cfg.LeanMetrics,
-		kind:      holderKind(cfg.Policy),
 		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
-		rrng:      rand.New(rand.NewSource(cfg.Seed + 4)),
-		waitq:     newCapacityWaitQueue(eng),
 	}
-	s.policy = scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark}
+	if run != nil {
+		s.policy = run.Policy
+	}
+	s.kind = holderKind(s.policy)
+	switch s.policy {
+	case PolicyReservation:
+		s.try = s.tryReservationTask
+	case PolicyBatch:
+		s.try = s.tryBatchTask
+	case PolicyLCP:
+		s.try = s.tryLCPTask
+	default:
+		s.try = s.tryNbosTask
+	}
 	s.reserved.lastNS = start.UnixNano()
 
 	// Lean mode swaps the unbounded recorders for window-bounded ones:
 	// timelines coalesce at the sampling period, samples keep seeded
 	// reservoirs (each with its own derived seed, so merges stay
-	// reproducible).
+	// reproducible). Samples are created in a fixed order — Interactivity,
+	// TCT, then the Result-only ones, then the SLO classes — so every
+	// reservoir seed is the same in Run and RunFederated.
 	newTL := metrics.NewTimeline
 	if s.lean {
 		newTL = func() *metrics.Timeline { return metrics.NewCoalescedTimeline(cfg.SampleEvery) }
@@ -480,60 +601,123 @@ func newSim(cfg Config) (*sim, error) {
 		}
 		return sm
 	}
-	s.res = &Result{
-		Policy:          cfg.Policy,
-		ProvisionedGPUs: newTL(),
-		CommittedGPUs:   newTL(),
-		ActiveSessions:  newTL(),
-		ActiveTrainings: newTL(),
-		SR:              newTL(),
-		Interactivity:   newSample(),
-		TCT:             newSample(),
-		StepLatency:     map[Step]*metrics.Sample{},
-		SyncLatency:     newSample(),
-		ReadLatency:     newSample(),
-		WriteLatency:    newSample(),
+	s.res = &FedResult{
+		ActiveSessions: newTL(),
+		Interactivity:  newSample(),
+		TCT:            newSample(),
 	}
-	for _, st := range Steps() {
-		s.res.StepLatency[st] = newSample()
+	if run != nil {
+		s.one = &Result{
+			Policy:          s.policy,
+			SR:              newTL(),
+			ActiveTrainings: newTL(),
+			SyncLatency:     newSample(),
+			ReadLatency:     newSample(),
+			WriteLatency:    newSample(),
+			StepLatency:     map[Step]*metrics.Sample{},
+		}
+		for _, st := range Steps() {
+			s.one.StepLatency[st] = newSample()
+		}
+		s.rrng = rand.New(rand.NewSource(cfg.Seed + 4))
 	}
-	s.cluster.SetCapacityNotifier(s.waitq.Notify)
-	// Fault injection arms before the initial hosts join so every host
-	// slot — including the first Hosts — carries a crash clock, and the
-	// availability timeline sees every membership change (faults.go).
+	s.qdepth = make([]int, len(cfg.Clusters))
+	if cfg.SLOAware {
+		s.waitq.usePriority(cfg.SLOAgingBound)
+		// Pre-create the per-class samples in SLOClasses order so lean-mode
+		// reservoir seeds are position-independent of the workload.
+		s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
+		for _, cl := range trace.SLOClasses() {
+			s.res.ClassDelay[cl] = newSample()
+		}
+	}
+	// Fault injection arms before the member clusters build so every host
+	// slot — including each member's initial Hosts — carries a crash
+	// clock, and the availability timeline sees every membership change.
 	s.initFaults()
+	for i, spec := range cfg.Clusters {
+		c := cluster.New(cfg.ReplicasPerKernel)
+		if _, err := s.fed.AddMember(spec.Name, c); err != nil {
+			return nil, err
+		}
+		// Any member's capacity-freeing transition wakes the shared queue
+		// directly (the federation's own fan-in would add a lock per
+		// notification and nothing else).
+		c.SetCapacityNotifier(s.waitq.Notify)
+		m := &simMember{
+			spec: spec,
+			c:    c,
+			res: &FedClusterResult{
+				Name:            spec.Name,
+				ProvisionedGPUs: newTL(),
+				CommittedGPUs:   newTL(),
+			},
+		}
+		if run != nil {
+			m.buffer = run.ScalingBufferHosts
+		}
+		s.members = append(s.members, m)
+		s.res.Clusters = append(s.res.Clusters, m.res)
+		for j := 0; j < spec.Hosts; j++ {
+			s.addHost(i)
+		}
+	}
+	if cfg.Latency != nil {
+		// Size was validated against the cluster count in withDefaults.
+		if err := s.fed.SetLatencyMatrix(cfg.Latency); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.PooledAutoscale {
+		s.autoscaler = &federation.FederatedAutoscaler{
+			ScaleFactor: cfg.ScaleFactor,
+			MinHosts:    cfg.FedMinHosts,
+			Replicas:    cfg.ReplicasPerKernel,
+			Policy:      cfg.ScalePolicy,
+		}
+	}
+	// Routing snapshots read the scheduler-level signals through this
+	// callback: parked-waiter depth by home member, and the retirable
+	// (empty) host count a scale-in could reclaim. Only Snapshot-building
+	// policies (ScoredPolicy) invoke it; the closed-form trio pays nothing.
+	s.fed.SetSnapshotExtras(func(member int) (int, int) {
+		return s.qdepth[member], s.members[member].c.EmptyHosts()
+	})
 
 	// Pre-size the metric columns from the source's expectation: delta
 	// series record two points per task (or session), sampled series one
 	// point per period. For a materialized trace the hints are exact upper
 	// bounds (coincident timestamps collapse), so long traces pay one
 	// allocation per column instead of a geometric growth ladder — the
-	// dominant allocation cost of 90-day runs. A streaming source supplies
-	// analytic expectations instead of a trace scan; under LeanMetrics the
-	// recorders bound themselves and the hints are skipped entirely.
+	// dominant allocation cost of 90-day runs. Per-member delta series
+	// split the task total evenly — an estimate, so a hot member may still
+	// grow. A streaming source supplies analytic expectations instead of a
+	// trace scan; under LeanMetrics the recorders bound themselves and the
+	// hints are skipped entirely.
 	exp := src.Expect()
 	sessions, numTasks := exp.Sessions, exp.Tasks
 	ticks := int(end.Sub(start)/cfg.SampleEvery) + 2
 	if !s.lean {
-		s.res.ProvisionedGPUs.Grow(ticks + 64)
-		s.res.CommittedGPUs.Grow(2 * numTasks)
 		s.res.ActiveSessions.Grow(2 * sessions)
-		s.res.ActiveTrainings.Grow(2 * numTasks)
-		if cfg.Policy == PolicyNotebookOS || cfg.Policy == PolicyLCP {
-			s.res.SR.Grow(2*sessions + ticks)
-		}
 		s.res.Interactivity.Grow(numTasks)
 		s.res.TCT.Grow(numTasks)
-		s.res.SyncLatency.Grow(numTasks)
-		s.res.ReadLatency.Grow(numTasks)
-		s.res.WriteLatency.Grow(numTasks)
-		for _, st := range Steps() {
-			s.res.StepLatency[st].Grow(numTasks) // one observation per executed task
+		for _, m := range s.members {
+			m.res.ProvisionedGPUs.Grow(ticks + 64)
+			m.res.CommittedGPUs.Grow(2*numTasks/len(s.members) + 16)
 		}
-		s.res.Events = make([]Event, 0, sessions+64)
-	}
-	for i := 0; i < cfg.Hosts; i++ {
-		s.addHost()
+		if r := s.one; r != nil {
+			r.ActiveTrainings.Grow(2 * numTasks)
+			if s.provisionsServers() {
+				r.SR.Grow(2*sessions + ticks)
+			}
+			r.SyncLatency.Grow(numTasks)
+			r.ReadLatency.Grow(numTasks)
+			r.WriteLatency.Grow(numTasks)
+			for _, st := range Steps() {
+				r.StepLatency[st].Grow(numTasks) // one observation per executed task
+			}
+			r.Events = make([]Event, 0, sessions+64)
+		}
 	}
 
 	if s.streaming {
@@ -554,28 +738,55 @@ func newSim(cfg Config) (*sim, error) {
 		// boundary plus one per task arrival.
 		s.eng.Reserve(2*sessions + numTasks + 16)
 		for _, sess := range cfg.Trace.Sessions {
-			sess := sess
-			ss := &simSession{
-				src:    sess,
-				req:    sess.Request,
-				assig:  workload.Assign(s.wr),
-				holder: s.kind + "/" + sess.ID,
+			ss, err := s.admit(sess)
+			if err != nil {
+				return nil, err
 			}
 			s.eng.Schedule(sess.Start, func() { s.sessionStart(ss) })
-			s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-			for _, task := range sess.Tasks {
-				task := task
-				s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-			}
+			s.scheduleSession(ss)
 		}
 	}
 
-	// Periodic sampling and autoscaling.
 	s.scheduleSampling()
-	if cfg.Policy == PolicyNotebookOS || cfg.Policy == PolicyLCP {
+	if s.provisionsServers() {
 		s.scheduleAutoscale()
 	}
 	return s, nil
+}
+
+// provisionsServers reports whether the policy provisions whole servers
+// and autoscales them (NotebookOS and LCP); Reservation and Batch
+// provision what they commit (Fig. 8).
+func (s *sim) provisionsServers() bool {
+	return s.policy == PolicyNotebookOS || s.policy == PolicyLCP
+}
+
+// admit builds a session's state in arrival order: it checks that some
+// member's hosts can hold the request, assigns the workload and the
+// round-robin home member.
+func (s *sim) admit(sess *trace.Session) (*simSession, error) {
+	if err := s.fitsSomeMember(sess); err != nil {
+		return nil, err
+	}
+	ss := &simSession{
+		src:    sess,
+		req:    sess.Request,
+		assig:  workload.Assign(s.wr),
+		home:   s.homeSeq % len(s.members),
+		holder: s.kind + "/" + sess.ID,
+	}
+	s.homeSeq++
+	s.members[ss.home].res.HomeSessions++
+	return ss, nil
+}
+
+// scheduleSession schedules an admitted session's end and task arrivals.
+func (s *sim) scheduleSession(ss *simSession) {
+	s.eng.Schedule(ss.src.End, func() { s.sessionEnd(ss) })
+	for _, task := range ss.src.Tasks {
+		task := task
+		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
+	}
 }
 
 // close releases the streaming source's iterator; safe on any sim and
@@ -587,109 +798,194 @@ func (s *sim) close() {
 	}
 }
 
-// finish surfaces a streaming-source error and computes the integrated
-// metrics. Call once, after the engine has run past the window's end.
-func (s *sim) finish() (*Result, error) {
+// finish surfaces an input or streaming-source error, integrates the
+// reserved GPU-hours and records each member's final host count. Call
+// once, after the engine has run past the window's end; then project
+// with result or fedResult.
+func (s *sim) finish() error {
 	if s.inputErr != nil {
-		return nil, s.inputErr
+		return s.inputErr
 	}
 	if s.srcErr != nil {
-		return nil, s.srcErr
+		return s.srcErr
 	}
-	s.finalizeIntegrals()
-	s.res.PlacementCalls, s.res.PlacementHostVisits = s.cluster.PlacementWork()
-	return s.res, nil
+	if s.streaming {
+		// No trace to scan: the online accumulator integrated reserved GPUs
+		// as sessions came and went (bit-for-bit it is a different summation
+		// order than the trace-scan timeline, so the two agree to rounding).
+		s.res.ReservedGPUHours = s.reserved.finish(s.end.UnixNano())
+	} else {
+		s.res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(s.start, s.end)
+	}
+	for _, m := range s.members {
+		m.res.FinalHosts = m.c.NumHosts()
+	}
+	return nil
+}
+
+// result projects a finished one-member engine into a Result: the
+// member's own series, the shared counters and samples, the Result-only
+// recorders, and the integrated hours of the cost model (Fig. 12).
+func (s *sim) result() *Result {
+	r, f, m := s.one, s.res, s.members[0]
+	r.ProvisionedGPUs, r.CommittedGPUs = m.res.ProvisionedGPUs, m.res.CommittedGPUs
+	r.ActiveSessions, r.Interactivity, r.TCT = f.ActiveSessions, f.Interactivity, f.TCT
+	r.Sessions = m.res.HomeSessions
+	r.Tasks, r.ImmediateCommits, r.Migrations = f.Tasks, f.ImmediateCommits, f.Migrations
+	r.ScaleOuts, r.ScaleIns = f.ScaleOuts, f.ScaleIns
+	r.ColdStarts, r.WarmStarts = f.ColdStarts, f.WarmStarts
+	r.HostCrashes, r.HostRecoveries, r.Failovers = f.HostCrashes, f.HostRecoveries, f.Failovers
+	r.TaskRestarts, r.Abandonments, r.LostGPUHours = f.TaskRestarts, f.Abandonments, f.LostGPUHours
+	r.Availability, r.RecoveryTime = f.Availability, f.RecoveryTime
+	r.ActiveGPUHours = r.CommittedGPUs.Integral(s.start, s.end)
+	r.ServerHours = r.ProvisionedGPUs.Integral(s.start, s.end) / float64(m.spec.HostCapacity.GPUs)
+	r.ReservedGPUHours = f.ReservedGPUHours
+	if s.policy == PolicyNotebookOS {
+		// Each session keeps R standby replicas alive; the executor is
+		// billed as active while training. Replica-hours approximate
+		// R x session-hours.
+		r.StandbyReplicaHours = r.ActiveSessions.Integral(s.start, s.end) * float64(s.cfg.ReplicasPerKernel)
+	}
+	r.PlacementCalls, r.PlacementHostVisits = m.c.PlacementWork()
+	return r
 }
 
 func (s *sim) now() time.Time { return s.eng.Now() }
 
-// fitsHost rejects a session whose request exceeds one host's capacity:
-// no policy can ever place it (a kernel replica, a reservation and a task
-// container each live on one host), so the run fails with an error
-// instead of dropping the session or its tasks.
-func fitsHost(sess *trace.Session, capacity resources.Spec) error {
-	if sess.Request.Fits(capacity) {
-		return nil
+// fitsSomeMember rejects a session whose request exceeds one host of
+// every member: no policy can ever place it (a kernel replica, a
+// reservation and a task container each live on one host), so the run
+// fails with an error instead of dropping the session or its tasks. A
+// session that fits only other members' hosts is admitted; placeSession
+// tries every member, and sessionStart fails the run if none can take it.
+func (s *sim) fitsSomeMember(sess *trace.Session) error {
+	for _, m := range s.members {
+		if sess.Request.Fits(m.spec.HostCapacity) {
+			return nil
+		}
 	}
-	return fmt.Errorf("sim: session %s requests %v, more than the host capacity %v",
-		sess.ID, sess.Request, capacity)
+	if len(s.members) == 1 {
+		return fmt.Errorf("sim: session %s requests %v, more than the host capacity %v",
+			sess.ID, sess.Request, s.members[0].spec.HostCapacity)
+	}
+	caps := make([]string, len(s.members))
+	for i, m := range s.members {
+		caps[i] = fmt.Sprintf("%v (%s)", m.spec.HostCapacity, m.spec.Name)
+	}
+	return fmt.Errorf("sim: session %s requests %v, more than the host capacity of every cluster: %s",
+		sess.ID, sess.Request, strings.Join(caps, ", "))
 }
 
-// rejectStream records a streamed session's input error and ends the
-// run: the injector admits nothing more, and finish returns the error.
-func (s *sim) rejectStream(err error) {
+// reject records a session's input error and ends the run: nothing more
+// is admitted, and finish returns the error.
+func (s *sim) reject(err error) {
 	s.inputErr = err
 	s.eng.Stop()
 }
 
-func (s *sim) addHost() *simHost {
-	s.hostSeq++
-	h := cluster.NewHost(fmt.Sprintf("sim-h%04d", s.hostSeq), s.cfg.HostCapacity)
-	if err := s.cluster.AddHost(h); err != nil {
+func (s *sim) addHost(member int) *simHost {
+	m := s.members[member]
+	m.hostSeq++
+	h := cluster.NewHost(fmt.Sprintf("%s-h%04d", m.spec.Name, m.hostSeq), m.spec.HostCapacity)
+	if err := m.c.AddHost(h); err != nil {
 		panic(err)
 	}
-	sh := &simHost{h: h, warm: s.cfg.PrewarmPerHost}
-	s.hostList = append(s.hostList, sh)
+	sh := &simHost{h: h, member: member, warm: s.cfg.PrewarmPerHost}
+	m.hosts = append(m.hosts, sh)
+	s.byHost[h] = sh
 	if s.faultsOn {
-		s.armHostFaults(sh)
+		s.armHostFaults(sh, m.hostSeq)
 	}
 	return sh
 }
 
+// recordEvent appends a Fig. 10 event (Run only, and not under
+// LeanMetrics).
 func (s *sim) recordEvent(kind scheduler.EventKind) {
-	if s.lean {
+	if s.one == nil || s.lean {
 		return
 	}
-	s.res.Events = append(s.res.Events, Event{T: s.now().UnixNano(), Kind: kind})
+	s.one.Events = append(s.one.Events, Event{T: s.now().UnixNano(), Kind: kind})
 }
 
 // ---- session lifecycle -------------------------------------------------
 
 func (s *sim) sessionStart(ss *simSession) {
-	s.res.Sessions++
 	if s.faultsOn {
 		s.faultSessions = append(s.faultSessions, ss)
 	}
 	s.res.ActiveSessions.Delta(s.now(), 1)
 	s.reserved.bump(s.now().UnixNano(), float64(ss.req.GPUs))
-	switch s.cfg.Policy {
+	switch s.policy {
 	case PolicyReservation:
 		// Bind GPUs for the whole session; grow the cluster when full
 		// (the provider provisions to fit all reservations).
-		sh := s.hostWithIdle(ss.req)
+		sh := s.hostWithIdle(ss.home, ss.req)
 		if sh == nil {
-			sh = s.addHost()
+			sh = s.addHost(ss.home)
 		}
 		if err := sh.h.Commit(ss.holder, ss.req); err != nil {
 			// A fresh host always fits a valid request.
 			panic(err)
 		}
-		ss.hosts = []*cluster.Host{sh.h}
+		ss.hosts = []*simHost{sh}
 	case PolicyNotebookOS:
-		hosts, err := s.policy.SelectHosts(s.cluster, ss.req, s.cfg.ReplicasPerKernel)
-		if err != nil {
-			// Scale out synchronously at creation (placement pauses until
-			// the servers are ready; the provisioning delay is charged to
-			// session creation, not to any task).
-			for i := 0; i < s.cfg.ReplicasPerKernel; i++ {
-				s.addHost()
-			}
-			s.res.ScaleOuts++
-			s.recordEvent(scheduler.EventScaleOut)
-			hosts, err = s.policy.SelectHosts(s.cluster, ss.req, s.cfg.ReplicasPerKernel)
-			if err != nil {
-				return // pathological request; drop the session
-			}
-		}
-		for i, h := range hosts {
-			_ = h.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
-		}
-		ss.hosts = hosts
-		s.recordEvent(scheduler.EventKernelCreated)
-		s.sampleSR()
+		s.startKernel(ss)
 	case PolicyBatch, PolicyLCP:
 		// No per-session provisioning: containers come per task.
 	}
+}
+
+// startKernel places the session's R replicas within one member, trying
+// members in route-policy order. When none can place them it scales out
+// the home member synchronously (placement pauses until the servers are
+// ready; the provisioning delay is charged to session creation, not to
+// any task).
+func (s *sim) startKernel(ss *simSession) {
+	if !s.placeSession(ss) {
+		for i := 0; i < s.cfg.ReplicasPerKernel; i++ {
+			s.addHost(ss.home)
+		}
+		s.res.ScaleOuts++
+		s.members[ss.home].res.ScaleOuts++
+		s.recordEvent(scheduler.EventScaleOut)
+		if !s.placeSession(ss) {
+			// Only a session larger than the home member's hosts gets here:
+			// it fits some other member's hosts, but none has room for it.
+			ss.hosts = nil
+			m := s.members[ss.home]
+			s.reject(fmt.Errorf("sim: session %s requests %v, more than the host capacity %v of its home cluster %s, and no other cluster has room for it",
+				ss.src.ID, ss.req, m.spec.HostCapacity, m.spec.Name))
+			return
+		}
+	}
+	s.recordEvent(scheduler.EventKernelCreated)
+	s.sampleSR()
+}
+
+// placeSession places the session's R replicas within a single member,
+// trying members in route-policy order.
+func (s *sim) placeSession(ss *simSession) bool {
+	for _, idx := range s.cfg.Route.Order(s.fed, ss.home, &s.route) {
+		m := s.members[idx]
+		hosts, err := s.placement.SelectHosts(m.c, ss.req, s.cfg.ReplicasPerKernel)
+		if err != nil {
+			continue
+		}
+		ss.hosts = make([]*simHost, len(hosts))
+		for i, h := range hosts {
+			_ = h.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
+			ss.hosts[i] = s.byHost[h]
+		}
+		m.res.PlacedSessions++
+		if idx == ss.home {
+			s.res.LocalPlacements++
+		} else {
+			s.res.RemotePlacements++
+		}
+		return true
+	}
+	return false
 }
 
 func (s *sim) sessionEnd(ss *simSession) {
@@ -707,17 +1003,15 @@ func (s *sim) sessionEnd(ss *simSession) {
 	}
 	s.res.ActiveSessions.Delta(s.now(), -1)
 	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
-	switch s.cfg.Policy {
+	switch s.policy {
 	case PolicyReservation:
-		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
-			_ = ss.hosts[0].Release(ss.holder)
-		}
+		_ = ss.hosts[0].h.Release(ss.holder)
 	case PolicyNotebookOS:
-		for i, h := range ss.hosts {
-			if h == nil {
+		for i, sh := range ss.hosts {
+			if sh == nil {
 				continue // crash-emptied slot (faults.go)
 			}
-			_ = h.RemoveReplica(ss.replicaKeyFor(i + 1))
+			_ = sh.h.RemoveReplica(ss.replicaKeyFor(i + 1))
 		}
 		s.sampleSR()
 	}
@@ -734,47 +1028,63 @@ func (s *sim) taskArrive(ss *simSession, task trace.Task) {
 		return
 	}
 	ss.running = true
-	s.startTask(ss, task, s.now())
+	s.runTask(ss, task, s.now())
 }
 
-func (s *sim) finishTask(ss *simSession, submit time.Time, interactivity, exec, post time.Duration) {
-	tct := s.now().Sub(submit)
+// runTask makes one attempt of the policy's task path. A task that cannot
+// make progress parks on the capacity wait-queue until capacity frees
+// anywhere in the federation, keeping the home member's queue-depth gauge
+// (a RoutingSnapshot signal) current for the park's whole lifetime.
+func (s *sim) runTask(ss *simSession, task trace.Task, submit time.Time) {
+	if s.try(ss, task, submit) {
+		return
+	}
+	home := ss.home
+	s.qdepth[home]++
+	retry := func() bool {
+		if !s.try(ss, task, submit) {
+			return false
+		}
+		s.qdepth[home]--
+		return true
+	}
+	if s.cfg.SLOAware {
+		s.waitq.WaitClass(ss.src.SLO.Weight(), retry)
+	} else {
+		s.waitq.Wait(retry)
+	}
+}
+
+func (s *sim) finishTask(ss *simSession, submit time.Time, interactivity time.Duration) {
+	tct := s.now().Sub(submit).Seconds()
 	s.res.Interactivity.Add(interactivity.Seconds())
-	s.res.TCT.Add(tct.Seconds())
-	s.res.StepLatency[StepE2E].Add(tct.Seconds())
+	s.res.TCT.Add(tct)
+	if s.res.ClassDelay != nil {
+		s.res.ClassDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
+	}
+	if s.one != nil {
+		s.one.StepLatency[StepE2E].Add(tct)
+	}
 	s.res.Tasks++
 	ss.running = false
 	ss.cur = nil
 	ss.restarts = 0
+	s.startNext(ss)
+}
+
+// startNext starts the session's next queued task, if any.
+func (s *sim) startNext(ss *simSession) {
 	if len(ss.queue) > 0 {
 		next := ss.queue[0]
 		ss.queue = ss.queue[1:]
 		ss.running = true
-		s.startTask(ss, next, s.now())
+		s.runTask(ss, next, s.now())
 	}
-}
-
-func (s *sim) startTask(ss *simSession, task trace.Task, submit time.Time) {
-	switch s.cfg.Policy {
-	case PolicyReservation:
-		s.runReservationTask(ss, task, submit)
-	case PolicyBatch:
-		s.runBatchTask(ss, task, submit)
-	case PolicyNotebookOS:
-		s.runNbosTask(ss, task, submit)
-	case PolicyLCP:
-		s.runLCPTask(ss, task, submit)
-	}
-}
-
-func (s *sim) taskReq(ss *simSession, task trace.Task) resources.Spec {
-	return clampTaskReq(ss.req, task.GPUs)
 }
 
 // clampTaskReq shapes a task's exclusive-commit request from its session's
 // reservation: the task's GPU count (never above the reservation) with
-// VRAM sized at 16 GB per GPU. Shared by the single-cluster and federated
-// simulators so their request shaping cannot drift.
+// VRAM sized at 16 GB per GPU.
 func clampTaskReq(sessReq resources.Spec, taskGPUs int) resources.Spec {
 	r := sessReq
 	r.GPUs = taskGPUs
@@ -785,16 +1095,21 @@ func clampTaskReq(sessReq resources.Spec, taskGPUs int) resources.Spec {
 	return r
 }
 
+// sampleStep records d in the per-step breakdown (Run only) and returns it.
 func (s *sim) sampleStep(st Step, d time.Duration) time.Duration {
-	s.res.StepLatency[st].Add(d.Seconds())
+	if s.one != nil {
+		s.one.StepLatency[st].Add(d.Seconds())
+	}
 	return d
 }
 
-// runReservationTask: GPUs are already bound; the task starts after
+// tryReservationTask: GPUs are already bound; the task starts after
 // framework overhead only. The pipeline runs as a resvTask state machine
-// (one allocation per task): both lead events carry the same Runner, in the
-// same order the closure version scheduled them.
-func (s *sim) runReservationTask(ss *simSession, task trace.Task, submit time.Time) {
+// (one allocation per task): both lead events carry the same Runner, in
+// the same order the closure version scheduled them. It always makes
+// progress. The Reservation, Batch and LCP paths run only under Run, so
+// they record into s.one unconditionally.
+func (s *sim) tryReservationTask(ss *simSession, task trace.Task, submit time.Time) bool {
 	lat := s.cfg.Latencies
 	step1 := s.sampleStep(StepGSProcess, lat.GSProcess(s.rng))
 	step5 := s.sampleStep(StepPreProcess, lat.PreProcess(s.rng))
@@ -807,69 +1122,52 @@ func (s *sim) runReservationTask(ss *simSession, task trace.Task, submit time.Ti
 	ss.cur = rt
 	s.eng.ScheduleRunner(submit.Add(delay), rt)
 	s.eng.ScheduleRunner(submit.Add(delay+task.Duration), rt)
+	return true
 }
 
-// runBatchTask: FCFS on-demand provisioning: wait for free GPUs, cold
+// tryBatchTask: FCFS on-demand provisioning: wait for free GPUs, cold
 // start a container, download model+dataset, execute, persist, terminate.
-// When the cluster is saturated the task parks on the capacity wait-queue
-// and is retried on the next Release/AddHost notification. The pipeline
-// after commit runs as a batchTask state machine (one allocation per task);
-// the retry closure is only built on the park path, which saturation makes
-// rare relative to task count.
-func (s *sim) runBatchTask(ss *simSession, task trace.Task, submit time.Time) {
-	if s.tryBatchTask(ss, task, submit) {
-		return
-	}
-	s.waitq.Wait(func() bool { return s.tryBatchTask(ss, task, submit) })
-}
-
-// tryBatchTask attempts the commit-and-start step and reports whether the
-// task is now in flight.
+// It reports whether the task is now in flight; the pipeline after commit
+// runs as a batchTask state machine (one allocation per task).
 func (s *sim) tryBatchTask(ss *simSession, task trace.Task, submit time.Time) bool {
 	// A batch job requests the session's full configured resources, the
 	// way a slurm submission would, not just the GPUs this task touches.
 	req := ss.req
-	sh := s.hostWithIdle(req)
+	sh := s.hostWithIdle(ss.home, req)
 	if sh == nil {
 		return false
 	}
-	h := sh.h
-	if err := h.Commit(ss.holder, req); err != nil {
+	if err := sh.h.Commit(ss.holder, req); err != nil {
 		return false
 	}
+	lat := s.cfg.Latencies
 	queueing := s.now().Sub(submit)
-	cold := s.cfg.Latencies.ColdStart(s.rng)
+	cold := lat.ColdStart(s.rng)
 	s.res.ColdStarts++
-	fetch := s.cfg.Latencies.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
-	s.res.ReadLatency.Add(fetch.Seconds())
-	step1 := s.sampleStep(StepGSProcess, queueing+cold+s.cfg.Latencies.GSProcess(s.rng))
-	step5 := s.sampleStep(StepPreProcess, s.cfg.Latencies.PreProcess(s.rng)+fetch)
+	fetch := lat.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
+	s.one.ReadLatency.Add(fetch.Seconds())
+	step1 := s.sampleStep(StepGSProcess, queueing+cold+lat.GSProcess(s.rng))
+	step5 := s.sampleStep(StepPreProcess, lat.PreProcess(s.rng)+fetch)
 	s.sampleStep(StepElection, 0)
-	step7 := s.sampleStep(StepIntermed, s.cfg.Latencies.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
+	step7 := s.sampleStep(StepIntermed, lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
 	delay := step1 + step5 + step7
 
-	bt := &batchTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
+	bt := &batchTask{s: s, ss: ss, task: task, submit: submit, sh: sh, delay: delay}
 	ss.cur = bt
 	s.eng.DeferRunner(delay, bt)
 	return true
 }
 
-// runNbosTask: the full NotebookOS path: immediate commit on a replica
-// host when possible, otherwise migration (warm container when available)
-// and resubmission. A task that can neither commit nor migrate parks on
-// the capacity wait-queue until a Release/AddHost notification.
-func (s *sim) runNbosTask(ss *simSession, task trace.Task, submit time.Time) {
-	if s.tryNbosTask(ss, task, submit) {
-		return
-	}
-	s.waitq.Wait(func() bool { return s.tryNbosTask(ss, task, submit) })
-}
-
-// tryNbosTask attempts one commit-or-migrate step and reports whether it
-// made progress (committed the task or scheduled a migration).
+// tryNbosTask attempts one step of the full NotebookOS path and reports
+// whether it made progress: immediate commit on a replica host when
+// possible, otherwise migration (warm container when available) and
+// resubmission.
 func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) bool {
+	if len(ss.hosts) == 0 {
+		return true // rejected session: swallow its tasks
+	}
 	lat := s.cfg.Latencies
-	req := s.taskReq(ss, task)
+	req := clampTaskReq(ss.req, task.GPUs)
 	migrationDelay := s.now().Sub(submit)
 
 	// Prefer the previous executor's host (the paper reuses the same
@@ -877,12 +1175,12 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 	executor := 0
 	if ss.lastExecutor > 0 && ss.lastExecutor <= len(ss.hosts) &&
 		ss.hosts[ss.lastExecutor-1] != nil &&
-		ss.hosts[ss.lastExecutor-1].CanCommit(req) {
+		ss.hosts[ss.lastExecutor-1].h.CanCommit(req) {
 		executor = ss.lastExecutor
 	}
 	if executor == 0 {
-		for i, h := range ss.hosts {
-			if h != nil && h.CanCommit(req) {
+		for i, sh := range ss.hosts {
+			if sh != nil && sh.h.CanCommit(req) {
 				executor = i + 1
 				break
 			}
@@ -891,63 +1189,97 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 	if executor == 0 {
 		return s.tryMigrate(ss, task, submit)
 	}
-	h := ss.hosts[executor-1]
-	holder := ss.holder
-	if err := h.Commit(holder, req); err != nil {
+	sh := ss.hosts[executor-1]
+	if err := sh.h.Commit(ss.holder, req); err != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
 	if migrationDelay == 0 {
 		s.res.ImmediateCommits++
-		if executor == ss.lastExecutor {
-			s.res.ExecutorReuse++
+		if executor == ss.lastExecutor && s.one != nil {
+			s.one.ExecutorReuse++
 		}
 	}
 	ss.lastExecutor = executor
+	s.members[sh.member].res.Tasks++
+
+	// A replica living outside the session's home member serves requests
+	// across the federation boundary: request and reply each pay one
+	// inter-cluster crossing (summed per direction, so asymmetric
+	// matrices charge correctly).
+	var wan time.Duration
+	if sh.member != ss.home {
+		wan = s.fed.RoundTrip(ss.home, sh.member)
+		s.res.RemoteExecutions++
+	}
 
 	step1 := s.sampleStep(StepGSProcess, lat.GSProcess(s.rng))
 	step5 := s.sampleStep(StepPreProcess, lat.PreProcess(s.rng))
 	step6 := s.sampleStep(StepElection, lat.Election(s.rng))
 	step7 := s.sampleStep(StepIntermed, lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
-	delay := migrationDelay + step1 + step5 + step6 + step7 + hops
+	delay := migrationDelay + step1 + step5 + step6 + step7 + hops + wan
 
-	nt := &nbosTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
+	nt := &nbosTask{s: s, ss: ss, task: task, submit: submit, sh: sh, delay: delay}
 	ss.cur = nt
 	s.eng.ScheduleRunner(submit.Add(delay), nt)
 	return true
 }
 
-// tryMigrate handles the all-YIELD path (§3.2.3): find a target with idle
-// resources, pay warm/cold container plus checkpoint-restore costs, swap
-// the replica, and resubmit. When no target exists it triggers a scale-out
-// (at most one in flight) and reports false so the caller parks on the
-// wait-queue until new capacity arrives.
+// tryMigrate handles the all-YIELD path (§3.2.3): find a target host
+// (members in route-policy order, most-idle host within the first member
+// that has one), pay warm/cold container plus checkpoint-restore costs —
+// plus two inter-cluster crossings when the replica changes member — swap
+// the replica, and resubmit. With no target anywhere it scales out the
+// home member (at most one scale-out in flight) and reports false, so the
+// caller parks on the shared wait-queue until capacity frees anywhere.
 func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool {
 	lat := s.cfg.Latencies
-	req := s.taskReq(ss, task)
+	req := clampTaskReq(ss.req, task.GPUs)
 
 	// The failed election itself costs one election round.
 	electionCost := lat.Election(s.rng)
 
 	var target *simHost
-	bestIdle := -1
-	for _, sh := range s.hostList {
-		h := sh.h
-		if hostsContain(ss.hosts, h) || !h.CanCommit(req) {
-			continue
+	for _, idx := range s.cfg.Route.Order(s.fed, ss.home, &s.route) {
+		bestIdle := -1
+		for _, sh := range s.members[idx].hosts {
+			if hostsContain(ss.hosts, sh) || !sh.h.CanCommit(req) {
+				continue
+			}
+			if idle := sh.h.IdleGPUs(); idle > bestIdle {
+				bestIdle = idle
+				target = sh
+			}
 		}
-		if idle := h.IdleGPUs(); idle > bestIdle {
-			bestIdle = idle
-			target = sh
+		if target != nil {
+			break
 		}
 	}
 	if target == nil {
-		// Scale out; the AddHost notification wakes the wait-queue.
-		if s.pendingHosts == 0 {
-			s.provisionAt(1)
+		// The AddHost notification wakes the shared wait-queue (as does a
+		// Release in any member).
+		if s.members[ss.home].pendingHosts == 0 {
+			s.provisionHosts(ss.home, 1)
 		}
 		return false
 	}
+
+	// Victim: a crash-emptied slot (faults.go) is refilled first;
+	// otherwise the replica on the fullest host.
+	victim := 0
+	worst := math.MaxInt
+	for i, sh := range ss.hosts {
+		if sh == nil {
+			victim = i
+			break
+		}
+		if idle := sh.h.IdleGPUs(); idle < worst {
+			worst = idle
+			victim = i
+		}
+	}
+	old := ss.hosts[victim]
+	cross := old != nil && old.member != target.member
 
 	var extra time.Duration
 	// Container: pre-warmed if the target has pool capacity, else cold.
@@ -962,77 +1294,62 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 		s.res.ColdStarts++
 		extra += lat.ColdStart(s.rng)
 	}
-	// Persist + restore checkpointed state through the data store.
+	// Persist + restore checkpointed state through the data store; a
+	// cross-member move pays the federation boundary in both directions.
 	wr := lat.Store.PutLatency(ss.assig.Model.ParamBytes, s.rng)
 	rd := lat.Store.GetLatency(ss.assig.Model.ParamBytes, s.rng)
-	s.res.WriteLatency.Add(wr.Seconds())
-	s.res.ReadLatency.Add(rd.Seconds())
-	extra += wr + rd + electionCost
-
-	// Move the replica: a crash-emptied slot (faults.go) is refilled
-	// first; otherwise the victim is the replica on the fullest host.
-	victim := 0
-	worst := math.MaxInt
-	for i, h := range ss.hosts {
-		if h == nil {
-			victim = i
-			break
-		}
-		if idle := h.IdleGPUs(); idle < worst {
-			worst = idle
-			victim = i
-		}
+	if s.one != nil {
+		s.one.WriteLatency.Add(wr.Seconds())
+		s.one.ReadLatency.Add(rd.Seconds())
 	}
-	oldHost := ss.hosts[victim]
+	extra += wr + rd + electionCost
+	if cross {
+		extra += s.fed.RoundTrip(old.member, target.member)
+	}
+
 	key := ss.replicaKeyFor(victim + 1)
-	if oldHost != nil {
-		_ = oldHost.RemoveReplica(key)
+	if old != nil {
+		_ = old.h.RemoveReplica(key)
 	}
 	_ = target.h.PlaceReplica(key, ss.req)
-	ss.hosts[victim] = target.h
+	ss.hosts[victim] = target
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
+	s.members[target.member].res.MigrationsIn++
+	if cross {
+		s.res.CrossMigrations++
+	}
 	s.recordEvent(scheduler.EventMigration)
 	s.sampleSR()
 
 	s.eng.Defer(extra, func() {
-		s.runNbosTask(ss, task, submit)
+		s.runTask(ss, task, submit)
 	})
 	return true
 }
 
-// hostsContain reports whether h is one of the session's replica hosts
+// hostsContain reports whether sh is one of the session's replica hosts
 // (len <= R, so a linear scan beats building a set).
-func hostsContain(hosts []*cluster.Host, h *cluster.Host) bool {
+func hostsContain(hosts []*simHost, sh *simHost) bool {
 	for _, x := range hosts {
-		if x == h {
+		if x == sh {
 			return true
 		}
 	}
 	return false
 }
 
-// runLCPTask: take a warm container from the pool (or cold start), warm
+// tryLCPTask: take a warm container from the pool (or cold start), warm
 // it up by downloading model + dataset (on the critical path, which is
 // what stretches LCP's TCT in Fig. 9b), execute, return the container.
-// Saturation parks the task on the capacity wait-queue. The pipeline after
-// commit runs as an lcpTask state machine (one allocation per task); the
-// retry closure is only built on the park path.
-func (s *sim) runLCPTask(ss *simSession, task trace.Task, submit time.Time) {
-	if s.tryLCPTask(ss, task, submit) {
-		return
-	}
-	s.waitq.Wait(func() bool { return s.tryLCPTask(ss, task, submit) })
-}
-
-// tryLCPTask attempts the commit-and-warm-up step and reports whether the
-// task is now in flight.
+// It reports whether the task is now in flight; the pipeline after commit
+// runs as an lcpTask state machine (one allocation per task).
 func (s *sim) tryLCPTask(ss *simSession, task trace.Task, submit time.Time) bool {
-	req := s.taskReq(ss, task)
+	req := clampTaskReq(ss.req, task.GPUs)
 	var target *simHost
 	warm := false
 	// Prefer hosts with both idle GPUs and a warm container.
-	for _, sh := range s.hostList {
+	for _, sh := range s.members[ss.home].hosts {
 		if !sh.h.CanCommit(req) {
 			continue
 		}
@@ -1051,23 +1368,24 @@ func (s *sim) tryLCPTask(ss *simSession, task trace.Task, submit time.Time) bool
 	if err := target.h.Commit(ss.holder, req); err != nil {
 		return false
 	}
+	lat := s.cfg.Latencies
 	var start time.Duration
 	if warm {
 		target.warm--
 		s.res.WarmStarts++
-		start = s.cfg.Latencies.WarmAttach(s.rng)
+		start = lat.WarmAttach(s.rng)
 	} else {
 		s.res.ColdStarts++
-		start = s.cfg.Latencies.ColdStart(s.rng)
+		start = lat.ColdStart(s.rng)
 	}
 	queueing := s.now().Sub(submit)
 	// Warm-up: fetch model parameters and dataset into the container.
-	fetch := s.cfg.Latencies.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
-	s.res.ReadLatency.Add(fetch.Seconds())
-	step1 := s.sampleStep(StepGSProcess, queueing+start+s.cfg.Latencies.GSProcess(s.rng))
-	step5 := s.sampleStep(StepPreProcess, s.cfg.Latencies.PreProcess(s.rng)+fetch)
+	fetch := lat.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
+	s.one.ReadLatency.Add(fetch.Seconds())
+	step1 := s.sampleStep(StepGSProcess, queueing+start+lat.GSProcess(s.rng))
+	step5 := s.sampleStep(StepPreProcess, lat.PreProcess(s.rng)+fetch)
 	s.sampleStep(StepElection, 0)
-	step7 := s.sampleStep(StepIntermed, s.cfg.Latencies.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
+	step7 := s.sampleStep(StepIntermed, lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
 	delay := step1 + step5 + step7
 
 	lt := &lcpTask{s: s, ss: ss, task: task, submit: submit, target: target, delay: delay}
@@ -1076,23 +1394,26 @@ func (s *sim) tryLCPTask(ss *simSession, task trace.Task, submit time.Time) bool
 	return true
 }
 
-func (s *sim) markTraining(ss *simSession, task trace.Task, at time.Time, start bool) {
-	g := float64(task.GPUs)
-	if start {
-		s.res.ActiveTrainings.Delta(at, 1)
-		s.res.CommittedGPUs.Delta(at, g)
-	} else {
-		s.res.ActiveTrainings.Delta(at, -1)
-		s.res.CommittedGPUs.Delta(at, -g)
+// markTraining steps the executing member's committed-GPU series (and,
+// under Run, the active-training count) as a task starts or stops
+// training.
+func (s *sim) markTraining(member int, task trace.Task, start bool) {
+	g, n := float64(task.GPUs), 1.0
+	if !start {
+		g, n = -g, -1
+	}
+	s.members[member].res.CommittedGPUs.Delta(s.now(), g)
+	if s.one != nil {
+		s.one.ActiveTrainings.Delta(s.now(), n)
 	}
 }
 
-// hostWithIdle returns a host that can commit req right now (most idle
-// first), or nil.
-func (s *sim) hostWithIdle(req resources.Spec) *simHost {
+// hostWithIdle returns a host of the member that can commit req right now
+// (most idle first), or nil.
+func (s *sim) hostWithIdle(member int, req resources.Spec) *simHost {
 	var best *simHost
 	bestIdle := -1
-	for _, sh := range s.hostList {
+	for _, sh := range s.members[member].hosts {
 		if !sh.h.CanCommit(req) {
 			continue
 		}
@@ -1104,8 +1425,11 @@ func (s *sim) hostWithIdle(req resources.Spec) *simHost {
 	return best
 }
 
+// sampleSR records the subscription ratio of Run's one cluster.
 func (s *sim) sampleSR() {
-	s.res.SR.Set(s.now(), s.cluster.ClusterSR())
+	if s.one != nil {
+		s.one.SR.Set(s.now(), s.members[0].c.ClusterSR())
+	}
 }
 
 // ---- periodic sampling & autoscaling ------------------------------------
@@ -1121,17 +1445,20 @@ func (s *sim) scheduleSampling() {
 	s.eng.DeferLate(0, tick)
 }
 
-// sampleProvisioned records the provisioned-GPU series whose meaning is
-// policy-dependent (Fig. 8): Reservation provisions what sessions reserve;
-// Batch provisions what runs; NotebookOS/(LCP) provision whole servers.
+// sampleProvisioned records each member's provisioned-GPU series, whose
+// meaning is policy-dependent (Fig. 8): Reservation provisions what
+// sessions reserve; Batch provisions what runs; NotebookOS/(LCP)
+// provision whole servers.
 func (s *sim) sampleProvisioned() {
-	switch s.cfg.Policy {
-	case PolicyReservation:
-		s.res.ProvisionedGPUs.Set(s.now(), float64(s.cluster.CommittedGPUs()))
-	case PolicyBatch:
-		s.res.ProvisionedGPUs.Set(s.now(), float64(s.cluster.CommittedGPUs()))
-	default:
-		s.res.ProvisionedGPUs.Set(s.now(), float64(s.cluster.TotalGPUs()))
+	at := s.now()
+	for _, m := range s.members {
+		gpus := m.c.TotalGPUs()
+		if !s.provisionsServers() {
+			gpus = m.c.CommittedGPUs()
+		}
+		m.res.ProvisionedGPUs.Set(at, float64(gpus))
+	}
+	if s.provisionsServers() {
 		s.sampleSR()
 	}
 }
@@ -1139,7 +1466,13 @@ func (s *sim) sampleProvisioned() {
 func (s *sim) scheduleAutoscale() {
 	var tick func()
 	tick = func() {
-		s.autoscaleOnce()
+		if s.autoscaler != nil {
+			s.autoscalePooled()
+		} else {
+			for i := range s.members {
+				s.autoscaleMember(i)
+			}
+		}
 		if s.now().Before(s.end) {
 			s.eng.DeferLate(s.cfg.AutoscaleInterval, tick)
 		}
@@ -1147,93 +1480,97 @@ func (s *sim) scheduleAutoscale() {
 	s.eng.DeferLate(s.cfg.AutoscaleInterval, tick)
 }
 
-func (s *sim) autoscaleOnce() {
-	committed := s.cluster.CommittedGPUs()
-	gpusPerHost := s.cfg.HostCapacity.GPUs
-	expected := s.cfg.ScaleFactor*float64(committed) + float64(s.cfg.ScalingBufferHosts*gpusPerHost)
-	if s.cfg.Policy == PolicyLCP {
+// autoscaleMember runs one member's autoscaler evaluation: each member
+// scales against its own committed load plus its spare-server buffer
+// (federations pool placements, not autoscaling decisions, unless
+// FedConfig.PooledAutoscale is set).
+func (s *sim) autoscaleMember(idx int) {
+	m := s.members[idx]
+	gpusPerHost := m.spec.HostCapacity.GPUs
+	expected := s.cfg.ScaleFactor*float64(m.c.CommittedGPUs()) + float64(m.buffer*gpusPerHost)
+	if s.policy == PolicyLCP {
 		// The LCP baseline keeps a large warm-container pool sized to the
 		// session population, trading resource cost for interactivity
 		// (§5.1.1); reserve roughly one GPU of capacity per live session.
 		expected += 0.75 * s.res.ActiveSessions.Last()
 	}
-	total := s.cluster.TotalGPUs() + s.pendingHosts*gpusPerHost
+	total := m.c.TotalGPUs() + m.pendingHosts*gpusPerHost
 
 	if float64(total) < expected {
 		need := int(math.Ceil((expected - float64(total)) / float64(gpusPerHost)))
-		s.provisionAt(need)
+		s.provisionHosts(idx, need)
 		return
 	}
 	// Scale in: release up to 2 empty servers (no replicas, nothing
-	// committed) while above the floor, first-joined first. The cluster's
+	// committed) while above the floor, first-joined first. The member's
 	// O(1) empty-host count skips the scan when no host is retirable and
 	// ends it once none is left.
-	if float64(total)-float64(gpusPerHost) > expected && len(s.hostList) > s.cfg.MinHosts && s.cluster.EmptyHosts() > 0 {
+	if float64(total)-float64(gpusPerHost) > expected && len(m.hosts) > m.spec.MinHosts && m.c.EmptyHosts() > 0 {
 		released := 0
-		for i := 0; i < len(s.hostList); {
-			if released >= 2 || len(s.hostList) <= s.cfg.MinHosts || s.cluster.EmptyHosts() == 0 {
+		for i := 0; i < len(m.hosts); {
+			if released >= 2 || len(m.hosts) <= m.spec.MinHosts || m.c.EmptyHosts() == 0 {
 				break
 			}
-			sh := s.hostList[i]
-			removed := false
-			if sh.h.Empty() {
-				if err := s.cluster.RemoveHost(sh.h.ID); err == nil {
-					s.hostList = append(s.hostList[:i], s.hostList[i+1:]...)
-					s.noteHosts(-1)
-					released++
-					removed = true
-				}
+			removed := s.removeHostIfEmpty(m, i)
+			if removed {
+				released++
 			}
-			if float64(s.cluster.TotalGPUs())-float64(gpusPerHost) <= expected {
+			if float64(m.c.TotalGPUs())-float64(gpusPerHost) <= expected {
 				break
 			}
 			if !removed {
 				i++
 			}
 		}
-		if released > 0 {
-			s.res.ScaleIns++
-			s.recordEvent(scheduler.EventScaleIn)
-			s.sampleProvisioned()
-		}
+		s.noteScaleIn(m, released)
 	}
 }
 
-// provisionAt starts a scale-out of need hosts: they count as pending
-// immediately and land after one HostProvision draw.
-func (s *sim) provisionAt(need int) {
+// noteScaleIn counts a scale-in that released hosts and resamples the
+// provisioned series.
+func (s *sim) noteScaleIn(m *simMember, released int) {
+	if released == 0 {
+		return
+	}
+	s.res.ScaleIns++
+	m.res.ScaleIns++
+	s.recordEvent(scheduler.EventScaleIn)
+	s.sampleProvisioned()
+}
+
+// provisionHosts starts a scale-out of need hosts toward member idx: they
+// count as pending (toward autoscaler capacity) immediately and land
+// after one HostProvision draw.
+func (s *sim) provisionHosts(idx, need int) {
 	provision := s.cfg.Latencies.HostProvision(s.rng)
-	s.pendingHosts += need
+	m := s.members[idx]
+	m.pendingHosts += need
 	s.res.ScaleOuts++
+	m.res.ScaleOuts++
 	s.recordEvent(scheduler.EventScaleOut)
 	s.eng.Defer(provision, func() {
 		for i := 0; i < need; i++ {
-			s.addHost()
+			s.addHost(idx)
 		}
-		s.pendingHosts -= need
+		m.pendingHosts -= need
 		s.sampleProvisioned()
 	})
 }
 
-// finalizeIntegrals computes the integrated hour metrics for the cost
-// model (Fig. 12).
-func (s *sim) finalizeIntegrals() {
-	start, end := s.start, s.end
-	s.res.ActiveGPUHours = s.res.CommittedGPUs.Integral(start, end)
-	s.res.ServerHours = s.res.ProvisionedGPUs.Integral(start, end) / float64(s.cfg.HostCapacity.GPUs)
-	if s.streaming {
-		// No trace to scan: the online accumulator integrated reserved GPUs
-		// as sessions came and went (bit-for-bit it is a different summation
-		// order than the trace-scan timeline, so the two agree to rounding).
-		s.res.ReservedGPUHours = s.reserved.finish(end.UnixNano())
-	} else {
-		s.res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(start, end)
+// removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
+// the member and the host index; reports whether it was removed. Both
+// autoscaling modes retire through this so the emptiness predicate and
+// the bookkeeping cannot drift apart.
+func (s *sim) removeHostIfEmpty(m *simMember, i int) bool {
+	sh := m.hosts[i]
+	if !sh.h.Empty() {
+		return false
 	}
-	if s.cfg.Policy == PolicyNotebookOS {
-		// Each session keeps R standby replicas alive; the executor is
-		// billed as active while training. Replica-hours approximate
-		// R x session-hours.
-		sessHours := s.res.ActiveSessions.Integral(start, end)
-		s.res.StandbyReplicaHours = sessHours * float64(s.cfg.ReplicasPerKernel)
+	if err := m.c.RemoveHost(sh.h.ID); err != nil {
+		return false
 	}
+	m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
+	delete(s.byHost, sh.h)
+	s.noteHosts(-1)
+	return true
 }

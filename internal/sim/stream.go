@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"sync"
 	"time"
 
 	"notebookos/internal/federation"
 	"notebookos/internal/trace"
-	"notebookos/internal/workload"
 )
 
 // Streaming simulation
@@ -58,8 +56,10 @@ func (a *gpuHoursAcc) finish(endNS int64) float64 {
 	return a.hours
 }
 
-// injector is the single-cluster streaming admitter: one event, re-scheduled
-// (allocation-free, via ScheduleRunner) from each session start to the next.
+// injector is the streaming admitter: one event, re-scheduled
+// (allocation-free, via ScheduleRunner) from each session start to the
+// next. Home members are assigned round-robin in arrival order, exactly as
+// the up-front loop does.
 type injector struct {
 	s    *sim
 	sess *trace.Session
@@ -67,63 +67,14 @@ type injector struct {
 
 func (in *injector) Fire() {
 	s := in.s
-	sess := in.sess
-	if err := fitsHost(sess, s.cfg.HostCapacity); err != nil {
-		s.rejectStream(err)
-		in.sess = nil
-		return
-	}
-	ss := &simSession{
-		src:    sess,
-		req:    sess.Request,
-		assig:  workload.Assign(s.wr),
-		holder: s.kind + "/" + sess.ID,
-	}
-	s.sessionStart(ss)
-	s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-	for _, task := range sess.Tasks {
-		task := task
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-	}
-	if next, ok := s.pull(); ok {
-		in.sess = next
-		s.eng.ScheduleRunner(next.Start, in)
-	} else {
-		in.sess = nil
-	}
-}
-
-// fedInjector is the federated streaming admitter; home clusters are
-// assigned round-robin in arrival order, exactly as the up-front loop does.
-type fedInjector struct {
-	s    *fedSim
-	sess *trace.Session
-}
-
-func (in *fedInjector) Fire() {
-	s := in.s
-	sess := in.sess
-	home := s.homeSeq % len(s.members)
-	if err := s.fitsSomeMember(sess); err != nil {
+	ss, err := s.admit(in.sess)
+	if err != nil {
 		s.reject(err)
 		in.sess = nil
 		return
 	}
-	ss := &fedSession{
-		src:    sess,
-		req:    sess.Request,
-		assig:  workload.Assign(s.wr),
-		home:   home,
-		holder: "fed/" + sess.ID,
-	}
-	s.homeSeq++
-	s.members[ss.home].res.HomeSessions++
 	s.sessionStart(ss)
-	s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-	for _, task := range sess.Tasks {
-		task := task
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-	}
+	s.scheduleSession(ss)
 	if next, ok := s.pull(); ok {
 		in.sess = next
 		s.eng.ScheduleRunner(next.Start, in)
@@ -184,21 +135,9 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 		wcfgs[i] = wcfg
 	}
 
-	results := make([]*Result, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := range wcfgs {
-		wg.Add(1)
-		go func(i int, wcfg Config) {
-			defer wg.Done()
-			results[i], errs[i] = Run(wcfg)
-		}(i, wcfgs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results, err := runWorkers(wcfgs, Run)
+	if err != nil {
+		return nil, err
 	}
 	return MergeResults(results...), nil
 }
@@ -266,21 +205,9 @@ func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) 
 		wcfgs[i] = wcfg
 	}
 
-	results := make([]*FedResult, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := range wcfgs {
-		wg.Add(1)
-		go func(i int, wcfg FedConfig) {
-			defer wg.Done()
-			results[i], errs[i] = RunFederated(wcfg)
-		}(i, wcfgs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results, err := runWorkers(wcfgs, RunFederated)
+	if err != nil {
+		return nil, err
 	}
 	return MergeFedResults(results...), nil
 }

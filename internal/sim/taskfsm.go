@@ -3,7 +3,6 @@ package sim
 import (
 	"time"
 
-	"notebookos/internal/cluster"
 	"notebookos/internal/trace"
 )
 
@@ -41,7 +40,6 @@ type resvTask struct {
 	task   trace.Task
 	submit time.Time
 	delay  time.Duration
-	post   time.Duration
 	tstart int64
 	phase  uint8
 	dead   bool
@@ -56,26 +54,25 @@ func (t *resvTask) Fire() {
 	case 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
+		s.markTraining(t.ss.home, t.task, true)
 	case 1: // execution done: persist state synchronously (Fig. 16 step 9)
 		t.phase = 2
 		post := s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng)
-		s.res.WriteLatency.Add(post.Seconds())
+		s.one.WriteLatency.Add(post.Seconds())
 		s.sampleStep(StepPostProc, post)
 		s.sampleStep(StepExec, t.task.Duration)
 		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		t.post = post
 		s.eng.DeferRunner(post+ret, t)
 	case 2: // reply returned
-		s.markTraining(t.ss, t.task, s.now(), false)
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.post)
+		s.markTraining(t.ss.home, t.task, false)
+		s.finishTask(t.ss, t.submit, t.delay)
 	}
 }
 
 // runsOn: a reservation task always executes on the session's reserved
 // host.
-func (t *resvTask) runsOn(h *cluster.Host) bool {
-	return len(t.ss.hosts) > 0 && t.ss.hosts[0] == h
+func (t *resvTask) runsOn(sh *simHost) bool {
+	return len(t.ss.hosts) > 0 && t.ss.hosts[0] == sh
 }
 
 // abort kills the machine. The session-lifetime GPU commitment stays with
@@ -83,7 +80,7 @@ func (t *resvTask) runsOn(h *cluster.Host) bool {
 func (t *resvTask) abort() (trace.Task, time.Time) {
 	t.dead = true
 	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
+		t.s.markTraining(t.ss.home, t.task, false)
 		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
 	}
 	return t.task, t.submit
@@ -96,9 +93,8 @@ type batchTask struct {
 	ss     *simSession
 	task   trace.Task
 	submit time.Time
-	h      *cluster.Host
+	sh     *simHost
 	delay  time.Duration
-	post   time.Duration
 	tstart int64
 	phase  uint8
 	dead   bool
@@ -113,25 +109,24 @@ func (t *batchTask) Fire() {
 	case 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
+		s.markTraining(t.sh.member, t.task, true)
 		s.eng.DeferRunner(t.task.Duration, t)
 	case 1: // execution done: persist, then return
 		t.phase = 2
 		s.sampleStep(StepExec, t.task.Duration)
 		post := s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng)
-		s.res.WriteLatency.Add(post.Seconds())
+		s.one.WriteLatency.Add(post.Seconds())
 		s.sampleStep(StepPostProc, post)
 		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		t.post = post
 		s.eng.DeferRunner(post+ret, t)
 	case 2: // reply returned; container terminates
-		s.markTraining(t.ss, t.task, s.now(), false)
-		_ = t.h.Release(t.ss.holder)
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.post)
+		s.markTraining(t.sh.member, t.task, false)
+		_ = t.sh.h.Release(t.ss.holder)
+		s.finishTask(t.ss, t.submit, t.delay)
 	}
 }
 
-func (t *batchTask) runsOn(h *cluster.Host) bool { return t.h == h }
+func (t *batchTask) runsOn(sh *simHost) bool { return t.sh == sh }
 
 // abort kills the machine: the per-task commit releases (a no-op charge
 // on a crashed host — the cluster already dropped its aggregates) and any
@@ -139,23 +134,23 @@ func (t *batchTask) runsOn(h *cluster.Host) bool { return t.h == h }
 func (t *batchTask) abort() (trace.Task, time.Time) {
 	t.dead = true
 	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
+		t.s.markTraining(t.sh.member, t.task, false)
 		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
 	}
-	_ = t.h.Release(t.ss.holder)
+	_ = t.sh.h.Release(t.ss.holder)
 	return t.task, t.submit
 }
 
 // nbosTask drives the NotebookOS pipeline from the training-start event on
-// (executor selection, commit, and the delay draws happen in tryNbosTask).
+// (executor selection, commit, WAN charging, and the delay draws happen in
+// tryNbosTask).
 type nbosTask struct {
 	s      *sim
 	ss     *simSession
 	task   trace.Task
 	submit time.Time
-	h      *cluster.Host
+	sh     *simHost
 	delay  time.Duration
-	off    time.Duration
 	tstart int64
 	phase  uint8
 	dead   bool
@@ -170,47 +165,46 @@ func (t *nbosTask) Fire() {
 	case 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
+		s.markTraining(t.sh.member, t.task, true)
 		s.eng.DeferRunner(t.task.Duration, t)
 	case 1: // execution done
 		t.phase = 2
 		s.sampleStep(StepExec, t.task.Duration)
 		// State replication is off the critical path (§3.2.4): the reply
 		// returns after the GPU offload only.
-		off := s.cfg.Latencies.Transfer.OffloadTime(t.ss.assig.Model.ParamBytes)
-		s.sampleStep(StepPostProc, off)
+		off := s.sampleStep(StepPostProc, s.cfg.Latencies.Transfer.OffloadTime(t.ss.assig.Model.ParamBytes))
 		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		// Record the async replication costs for Fig. 11.
-		s.res.SyncLatency.Add(s.cfg.Latencies.Sync(s.rrng).Seconds())
-		s.res.WriteLatency.Add(s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rrng).Seconds())
-		t.off = off
+		if r := s.one; r != nil {
+			// Record the async replication costs for Fig. 11.
+			r.SyncLatency.Add(s.cfg.Latencies.Sync(s.rrng).Seconds())
+			r.WriteLatency.Add(s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rrng).Seconds())
+		}
 		s.eng.DeferRunner(off+ret, t)
 	case 2: // reply returned
-		s.markTraining(t.ss, t.task, s.now(), false)
-		_ = t.h.Release(t.ss.holder)
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.off)
+		s.markTraining(t.sh.member, t.task, false)
+		_ = t.sh.h.Release(t.ss.holder)
+		s.finishTask(t.ss, t.submit, t.delay)
 	}
 }
 
-func (t *nbosTask) runsOn(h *cluster.Host) bool { return t.h == h }
+func (t *nbosTask) runsOn(sh *simHost) bool { return t.sh == sh }
 
 // abort kills the machine (executor death or quorum loss — the repair
 // logic in faults.go decides which): the executor's commit releases and
-// any started training unwinds.
+// any started training unwinds against the executor's member.
 func (t *nbosTask) abort() (trace.Task, time.Time) {
 	t.dead = true
 	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
+		t.s.markTraining(t.sh.member, t.task, false)
 		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
 	}
-	_ = t.h.Release(t.ss.holder)
+	_ = t.sh.h.Release(t.ss.holder)
 	return t.task, t.submit
 }
 
 // lcpTask drives the LCP pipeline from the training-start event on (warm
-// container attach and the delay draws happen in tryLCPTask). It holds the
-// simHost, not just the cluster host, because the container returns to the
-// target's warm pool at completion.
+// container attach and the delay draws happen in tryLCPTask). The
+// container returns to the target's warm pool at completion.
 type lcpTask struct {
 	s      *sim
 	ss     *simSession
@@ -218,7 +212,6 @@ type lcpTask struct {
 	submit time.Time
 	target *simHost
 	delay  time.Duration
-	post   time.Duration
 	tstart int64
 	phase  uint8
 	dead   bool
@@ -233,86 +226,34 @@ func (t *lcpTask) Fire() {
 	case 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
+		s.markTraining(t.target.member, t.task, true)
 		s.eng.DeferRunner(t.task.Duration, t)
 	case 1: // execution done: persist, then return
 		t.phase = 2
 		s.sampleStep(StepExec, t.task.Duration)
 		post := s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng)
-		s.res.WriteLatency.Add(post.Seconds())
+		s.one.WriteLatency.Add(post.Seconds())
 		s.sampleStep(StepPostProc, post)
 		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		t.post = post
 		s.eng.DeferRunner(post+ret, t)
 	case 2: // reply returned; container goes back to the warm pool
-		s.markTraining(t.ss, t.task, s.now(), false)
+		s.markTraining(t.target.member, t.task, false)
 		_ = t.target.h.Release(t.ss.holder)
 		t.target.warm++
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.post)
+		s.finishTask(t.ss, t.submit, t.delay)
 	}
 }
 
-func (t *lcpTask) runsOn(h *cluster.Host) bool { return t.target.h == h }
+func (t *lcpTask) runsOn(sh *simHost) bool { return t.target == sh }
 
 // abort kills the machine: the commit releases, training unwinds, and the
 // container does NOT return to the warm pool — it died with its host.
 func (t *lcpTask) abort() (trace.Task, time.Time) {
 	t.dead = true
 	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
+		t.s.markTraining(t.target.member, t.task, false)
 		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
 	}
 	_ = t.target.h.Release(t.ss.holder)
-	return t.task, t.submit
-}
-
-// fedTask drives the federated pipeline from the training-start event on
-// (placement, commit, WAN charging, and the delay draws happen in tryTask).
-type fedTask struct {
-	s      *fedSim
-	ss     *fedSession
-	task   trace.Task
-	submit time.Time
-	fh     *fedHost
-	delay  time.Duration
-	tstart int64
-	phase  uint8
-	dead   bool
-}
-
-func (t *fedTask) Fire() {
-	if t.dead {
-		return
-	}
-	s := t.s
-	switch t.phase {
-	case 0: // training starts
-		t.phase = 1
-		t.tstart = s.now().UnixNano()
-		s.markTraining(t.fh.member, t.task, true)
-		s.eng.DeferRunner(t.task.Duration, t)
-	case 1: // execution done
-		t.phase = 2
-		off := s.cfg.Latencies.Transfer.OffloadTime(t.ss.assig.Model.ParamBytes)
-		ret := s.cfg.Latencies.Hop(s.rng)
-		s.eng.DeferRunner(off+ret, t)
-	case 2: // reply returned
-		s.markTraining(t.fh.member, t.task, false)
-		_ = t.fh.h.Release(t.ss.holder)
-		s.finishTask(t.ss, t.submit, t.delay)
-	}
-}
-
-func (t *fedTask) runsOn(h *cluster.Host) bool { return t.fh.h == h }
-
-// abort kills the machine: the executor's commit releases and any started
-// training unwinds against the executor's member cluster.
-func (t *fedTask) abort() (trace.Task, time.Time) {
-	t.dead = true
-	if t.phase >= 1 {
-		t.s.markTraining(t.fh.member, t.task, false)
-		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
-	}
-	_ = t.fh.h.Release(t.ss.holder)
 	return t.task, t.submit
 }
