@@ -194,8 +194,14 @@ func scenarios() []scenario {
 		// shards. It is a deterministic work counter, so an index
 		// regression that falls back toward full scans fails the gate like
 		// a changed output would.
+		//
+		// des_events_fired and des_peak_pending gate the DES work the same
+		// way: the events the engines fired (summed over the shards) and
+		// the largest pending-event high-water mark. Each session keeps one
+		// pending task arrival, so the peak follows concurrency; a change
+		// that queues a trace's arrivals up front again multiplies it.
 		{"summer-10d-quick", func(b *testing.B, _, summer *trace.Trace) map[string]float64 {
-			var saved, tasks, visits float64
+			var saved, tasks, visits, fired, peak float64
 			for i := 0; i < b.N; i++ {
 				res, err := sim.RunSharded(sim.Config{Trace: summer, Policy: sim.PolicyNotebookOS, Hosts: 30, Seed: 42}, 2)
 				if err != nil {
@@ -205,8 +211,15 @@ func scenarios() []scenario {
 				saved = reserved - res.ProvisionedGPUs.Integral(summer.Start, summer.End)
 				tasks = float64(res.Tasks)
 				visits = float64(res.PlacementHostVisits)
+				fired, peak = float64(res.EventsFired), float64(res.PeakPendingEvents)
 			}
-			return map[string]float64{"gpuh_saved": saved, "tasks": tasks, "placement_host_visits": visits}
+			return map[string]float64{
+				"gpuh_saved":            saved,
+				"tasks":                 tasks,
+				"placement_host_visits": visits,
+				"des_events_fired":      fired,
+				"des_peak_pending":      peak,
+			}
 		}},
 		// stream-million-90d-2shards is the scale canary: the full 90-day
 		// ~1M-session workload simulated through the bounded-memory

@@ -74,6 +74,8 @@ type Engine struct {
 	free []*Event
 	// blockSize is the size of the next arena block handed to free.
 	blockSize int
+	// peak is the pending-event high-water mark (PeakLen).
+	peak int
 }
 
 // New returns an engine whose clock starts at start.
@@ -86,9 +88,9 @@ func (e *Engine) Now() time.Time { return e.now }
 
 // Reserve pre-sizes the engine for an expected peak of n pending events:
 // the heap gets capacity n and the pooled-event arena is pre-filled to n
-// events in a single block. Simulations that schedule a whole trace up
-// front (one event per session boundary and task arrival) call it once, so
-// neither the heap nor the arena pays a geometric growth ladder.
+// events in a single block. Simulations that schedule a whole trace's
+// session boundaries up front call it once, so neither the heap nor the
+// arena pays a geometric growth ladder.
 func (e *Engine) Reserve(n int) {
 	if cap(e.pq) < n {
 		pq := make(eventHeap, len(e.pq), n)
@@ -135,6 +137,10 @@ func (e *Engine) Steps() int64 { return e.steps }
 // events are reaped eagerly and are not counted.
 func (e *Engine) Len() int { return len(e.pq) }
 
+// PeakLen returns the largest Len the engine has reached: the
+// pending-event high-water mark, a deterministic measure of heap size.
+func (e *Engine) PeakLen() int { return e.peak }
+
 // At schedules fn at absolute time t and returns a cancellable handle.
 // Scheduling in the past schedules at the current time (it will still run
 // strictly after the current event).
@@ -157,10 +163,16 @@ func (e *Engine) After(d time.Duration, fn Handler) *Event {
 // The event cannot be cancelled, which lets the engine recycle its
 // allocation once fired. Prefer this in hot paths that never cancel.
 func (e *Engine) Schedule(t time.Time, fn Handler) {
+	e.seq++
+	e.schedulePooled(t, e.seq, fn, nil)
+}
+
+// schedulePooled pushes a recycled, handle-less event carrying fn or r at
+// (t, seq), clamping a past t to the current time.
+func (e *Engine) schedulePooled(t time.Time, seq int64, fn Handler, r Runner) {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	e.seq++
 	if len(e.free) == 0 {
 		e.refill()
 	}
@@ -168,7 +180,7 @@ func (e *Engine) Schedule(t time.Time, fn Handler) {
 	ev := e.free[n]
 	e.free[n] = nil
 	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.canceled = t, t.UnixNano(), e.seq, fn, false
+	ev.at, ev.atns, ev.seq, ev.fn, ev.run, ev.canceled = t, t.UnixNano(), seq, fn, r, false
 	ev.pooled = true
 	e.push(ev)
 }
@@ -192,20 +204,8 @@ const lateBias = int64(1) << 62
 // happened to be scheduled — a simulation that schedules its workload up
 // front and one that schedules it lazily then interleave identically.
 func (e *Engine) ScheduleLate(t time.Time, fn Handler) {
-	if t.Before(e.now) {
-		t = e.now
-	}
 	e.seq++
-	if len(e.free) == 0 {
-		e.refill()
-	}
-	n := len(e.free) - 1
-	ev := e.free[n]
-	e.free[n] = nil
-	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.canceled = t, t.UnixNano(), e.seq+lateBias, fn, false
-	ev.pooled = true
-	e.push(ev)
+	e.schedulePooled(t, e.seq+lateBias, fn, nil)
 }
 
 // DeferLate schedules fn d from now in the late tie-break class (see
@@ -219,20 +219,33 @@ func (e *Engine) DeferLate(d time.Duration, fn Handler) {
 // interface value directly, so re-scheduling a long-lived Runner allocates
 // nothing.
 func (e *Engine) ScheduleRunner(t time.Time, r Runner) {
-	if t.Before(e.now) {
-		t = e.now
-	}
 	e.seq++
-	if len(e.free) == 0 {
-		e.refill()
-	}
-	n := len(e.free) - 1
-	ev := e.free[n]
-	e.free[n] = nil
-	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.run, ev.canceled = t, t.UnixNano(), e.seq, nil, r, false
-	ev.pooled = true
-	e.push(ev)
+	e.schedulePooled(t, e.seq, nil, r)
+}
+
+// ReserveSeqs claims the next n sequence numbers without scheduling
+// anything and returns the first; ReserveSeqs(0) claims none. Spend each
+// reserved number on at most one ScheduleRunnerSeq call.
+// A client that knows a chain of future events up front (a session's task
+// arrivals) reserves their numbers in one step and schedules each event
+// only when its predecessor fires, so the heap holds one event per chain
+// instead of the whole chain, and every event keeps the tie-break
+// position it would have had if scheduled eagerly.
+func (e *Engine) ReserveSeqs(n int) int64 {
+	first := e.seq + 1
+	e.seq += int64(n)
+	return first
+}
+
+// ScheduleRunnerSeq is ScheduleRunner with a sequence number from an
+// earlier ReserveSeqs: at equal timestamps the event ties as of its
+// reservation, not of this call. A past t clamps to the current time,
+// as in ScheduleRunner. The pop order equals the eager order only if the
+// event's (t, seq) key sorts after every event already fired — a chain
+// whose times never decrease, scheduled from its predecessor's Fire,
+// satisfies this.
+func (e *Engine) ScheduleRunnerSeq(t time.Time, seq int64, r Runner) {
+	e.schedulePooled(t, seq, nil, r)
 }
 
 // DeferRunner schedules r.Fire d from now without returning a handle (see
@@ -304,6 +317,9 @@ func eventBefore(a, b *Event) bool {
 func (e *Engine) push(ev *Event) {
 	ev.index = len(e.pq)
 	e.pq = append(e.pq, ev)
+	if len(e.pq) > e.peak {
+		e.peak = len(e.pq)
+	}
 	e.pq.siftUp(ev.index)
 }
 

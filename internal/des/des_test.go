@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -384,4 +385,247 @@ func TestLateEventsLoseAllTies(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+}
+
+// seqChain is a test chain of reserved-sequence events. In lazy mode each
+// step schedules its successor from Fire (the arrival-cursor pattern); in
+// eager mode every step is scheduled when the chain is created.
+type seqChain struct {
+	e     *Engine
+	id    int
+	lazy  bool
+	times []time.Time
+	// spawn[i] >= 0 makes step i schedule a handler that far ahead.
+	spawn []time.Duration
+	seq   int64
+	log   *[]string
+}
+
+func (c *seqChain) start() {
+	c.seq = c.e.ReserveSeqs(len(c.times))
+	for i := range c.times {
+		if i > 0 && c.lazy {
+			break
+		}
+		c.e.ScheduleRunnerSeq(c.times[i], c.seq+int64(i), chainStep{c, i})
+	}
+}
+
+type chainStep struct {
+	c *seqChain
+	i int
+}
+
+func (s chainStep) Fire() {
+	c := s.c
+	logf(c.log, c.e, "c%d.%d", c.id, s.i)
+	if d := c.spawn[s.i]; d >= 0 {
+		id, i := c.id, s.i
+		c.e.Schedule(c.e.Now().Add(d), func() { logf(c.log, c.e, "c%d.%d.child", id, i) })
+	}
+	if c.lazy && s.i+1 < len(c.times) {
+		c.e.ScheduleRunnerSeq(c.times[s.i+1], c.seq+int64(s.i+1), chainStep{c, s.i + 1})
+	}
+}
+
+func logf(log *[]string, e *Engine, format string, args ...any) {
+	*log = append(*log, fmt.Sprintf(format, args...)+"@"+e.Now().Sub(t0).String())
+}
+
+// playReservedWorkload builds the workload seed describes and runs it,
+// with every seqChain lazy or eager, returning the fire log and engine.
+// Times sit on a one-second grid over 20 s so same-instant ties between
+// chain steps, handler-scheduled events, late ticks and cancelled At
+// handles are common. Apart from when chain links are pushed, the engine
+// calls depend only on seed and on the fire order.
+func playReservedWorkload(seed int64, lazy bool) ([]string, *Engine) {
+	r := rand.New(rand.NewSource(seed))
+	e := New(t0)
+	var log []string
+	grid := func(from int) int { return from + r.Intn(21-from) }
+	at := func(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+
+	// Late ticks every 2 s, each re-arming the next.
+	var tick func()
+	tick = func() {
+		logf(&log, e, "tick")
+		if e.Now().Before(at(20)) {
+			e.DeferLate(2*time.Second, tick)
+		}
+	}
+	e.ScheduleLate(t0, tick)
+
+	for id, n := 0, 4+r.Intn(10); id < n; id++ {
+		created := 0
+		if r.Intn(2) == 0 {
+			created = grid(0)
+		}
+		c := &seqChain{e: e, id: id, lazy: lazy, log: &log}
+		sec := created
+		for k := r.Intn(6); k > 0; k-- { // k == 0 covers ReserveSeqs(0)
+			sec = grid(sec)
+			c.times = append(c.times, at(sec))
+			d := time.Duration(-1)
+			if r.Intn(2) == 0 {
+				d = time.Duration(r.Intn(3)) * time.Second
+			}
+			c.spawn = append(c.spawn, d)
+		}
+		if created == 0 {
+			c.start()
+		} else {
+			// A chain created by a handler reserves its numbers between
+			// the sequence numbers of events other handlers schedule.
+			e.Schedule(at(created), func() { logf(&log, e, "c%d.create", c.id); c.start() })
+		}
+	}
+
+	for id, n := 0, r.Intn(8); id < n; id++ {
+		sec := grid(0)
+		ev := e.At(at(sec), func() { logf(&log, e, "at%d", id) })
+		switch r.Intn(3) {
+		case 0:
+			ev.Cancel()
+		case 1:
+			// Cancelled from a handler at or before its own instant; at the
+			// same instant the At may already have fired (a no-op cancel).
+			e.Schedule(at(r.Intn(sec+1)), func() { logf(&log, e, "cancel-at%d", id); ev.Cancel() })
+		}
+	}
+
+	for id, n := 0, r.Intn(10); id < n; id++ {
+		e.ScheduleRunner(at(grid(0)), &stepper{e: e, left: 1 + r.Intn(3)})
+		e.Schedule(at(grid(0)), func() { logf(&log, e, "h%d", id) })
+	}
+	e.Run()
+	return log, e
+}
+
+// TestReservedSeqsMatchEagerOrder: chaining reserved-sequence events one
+// at a time fires every event in the same order, at the same instant, as
+// scheduling the whole chain up front with the same numbers.
+func TestReservedSeqsMatchEagerOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		eager, ee := playReservedWorkload(seed, false)
+		lazy, le := playReservedWorkload(seed, true)
+		if len(eager) != len(lazy) || ee.Steps() != le.Steps() || le.PeakLen() > ee.PeakLen() {
+			t.Logf("seed %d: %d vs %d logged, steps %d vs %d, peak %d vs %d",
+				seed, len(eager), len(lazy), ee.Steps(), le.Steps(), ee.PeakLen(), le.PeakLen())
+			return false
+		}
+		for i := range eager {
+			if eager[i] != lazy[i] {
+				t.Logf("seed %d: event %d eager %s, lazy %s", seed, i, eager[i], lazy[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReserveSeqsZero: an empty reservation claims no number.
+func TestReserveSeqsZero(t *testing.T) {
+	e := New(t0)
+	e.Schedule(t0, func() {})
+	a := e.ReserveSeqs(0)
+	b := e.ReserveSeqs(2)
+	c := e.ReserveSeqs(1)
+	if a != b || c != b+2 {
+		t.Fatalf("ReserveSeqs(0)=%d, ReserveSeqs(2)=%d, ReserveSeqs(1)=%d", a, b, c)
+	}
+}
+
+// TestReservedSeqInPastClampsToNow: a reserved event scheduled for a past
+// time fires now, as ScheduleRunner does, and keeps the tie position of
+// its reservation: ahead of a same-instant event scheduled after the
+// reservation, even one scheduled before the ScheduleRunnerSeq call.
+func TestReservedSeqInPastClampsToNow(t *testing.T) {
+	e := New(t0)
+	var order []string
+	seq := e.ReserveSeqs(1)
+	e.Schedule(t0.Add(time.Hour), func() {
+		e.Schedule(e.Now(), func() { logf(&order, e, "later") })
+		e.ScheduleRunnerSeq(t0, seq, runnerFunc(func() { logf(&order, e, "reserved") }))
+	})
+	e.Run()
+	want := []string{"reserved@1h0m0s", "later@1h0m0s"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+type runnerFunc func()
+
+func (f runnerFunc) Fire() { f() }
+
+// TestPeakLen: the high-water mark tracks the largest pending count,
+// including events later cancelled, and survives the queue draining.
+func TestPeakLen(t *testing.T) {
+	e := New(t0)
+	for i := 0; i < 5; i++ {
+		e.After(time.Second, func() {})
+	}
+	ev := e.After(time.Second, func() {})
+	ev.Cancel()
+	e.Run()
+	if e.PeakLen() != 6 || e.Len() != 0 {
+		t.Fatalf("PeakLen = %d, Len = %d; want 6, 0", e.PeakLen(), e.Len())
+	}
+}
+
+// arrivalChain is BenchmarkEngine's cursor: a chain of reserved-sequence
+// arrivals that reserves a new block of numbers each time one runs out,
+// like a stream of sessions with 64 tasks each.
+type arrivalChain struct {
+	e      *Engine
+	b      *bgEvent
+	left   *int
+	seq    int64
+	next   int
+	delays []time.Duration
+}
+
+// bgEvent is the background runtime event each arrival schedules.
+type bgEvent struct{}
+
+func (bgEvent) Fire() {}
+
+func (c *arrivalChain) Fire() {
+	if *c.left--; *c.left <= 0 {
+		return
+	}
+	c.next++
+	if c.next == 64 {
+		c.seq, c.next = c.e.ReserveSeqs(64), 0
+	}
+	d := c.delays[(int(c.seq)+c.next)%len(c.delays)]
+	c.e.ScheduleRunnerSeq(c.e.Now().Add(d), c.seq+int64(c.next), c)
+	c.e.DeferRunner(d/2, c.b)
+}
+
+// BenchmarkEngine churns 1024 chained reserved-sequence arrival streams,
+// each arrival scheduling one background runtime event, on a
+// millisecond grid where ties are common. One op is one arrival (plus its
+// background event).
+func BenchmarkEngine(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4093)
+	for i := range delays {
+		delays[i] = time.Duration(1+r.Intn(2000)) * time.Millisecond
+	}
+	e := New(t0)
+	e.Reserve(4096)
+	left := b.N
+	bg := &bgEvent{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < 1024; i++ {
+		c := &arrivalChain{e: e, b: bg, left: &left, delays: delays, seq: e.ReserveSeqs(64)}
+		e.ScheduleRunnerSeq(t0.Add(delays[i]), c.seq, c)
+	}
+	e.Run()
+	b.ReportMetric(float64(e.PeakLen()), "peak-pending")
 }

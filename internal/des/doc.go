@@ -12,7 +12,12 @@
 //     simulation, never from global or time-derived sources.
 //   - Events scheduled for the same virtual instant run in Schedule/Defer
 //     call order (the engine breaks time ties by a monotonically increasing
-//     sequence number), so scheduling order is part of the contract.
+//     sequence number), so scheduling order is part of the contract. A
+//     number claimed by ReserveSeqs and later spent by ScheduleRunnerSeq
+//     takes the tie position of its reservation, not of its schedule call:
+//     a chain of events reserved together and scheduled one at a time
+//     fires exactly as if every link had been scheduled at reservation.
+//     Late-class events (ScheduleLate) lose every tie to the rest.
 //   - Event handlers must not depend on host-map iteration order, wall-clock
 //     time, or goroutine interleaving; one Engine is never shared between
 //     goroutines.
@@ -22,7 +27,8 @@
 // heap index, and no-handle Schedule/Defer recycle event allocations from
 // a pool refilled in geometrically growing arena blocks (O(log peak)
 // allocations for any pending-event peak). Engine.Reserve pre-sizes both
-// the heap and the arena from a caller's peak hint — simulations that
-// schedule a whole trace up front pass one event per session boundary and
-// task arrival.
+// the heap and the arena from a caller's peak hint — the simulator passes
+// one event per session boundary of a materialized trace, since each
+// session chains its task arrivals and keeps only one of them pending.
+// PeakLen reports the pending-event high-water mark actually reached.
 package des

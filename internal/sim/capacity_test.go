@@ -154,3 +154,61 @@ func TestOversizedSessionIsAnError(t *testing.T) {
 		t.Fatalf("Run error %v does not name session %s", err, big.ID)
 	}
 }
+
+// TestMalformedSessionIsAnError: each session's task arrivals are chained
+// one at a time, which needs its tasks sorted by Submit within the
+// session's lifetime. Admission checks that (trace.Session.Validate), so
+// every runner rejects a malformed session with an error naming it rather
+// than replaying its tasks at the wrong instant.
+func TestMalformedSessionIsAnError(t *testing.T) {
+	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: 2, VRAMGB: 16}
+	session := func(id string, submits ...time.Duration) *trace.Session {
+		s := &trace.Session{ID: id, Start: t0.Add(10 * time.Minute), End: t0.Add(2 * time.Hour), Request: req}
+		for _, d := range submits {
+			s.Tasks = append(s.Tasks, trace.Task{Submit: t0.Add(d), Duration: time.Minute, GPUs: 1})
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		bad  *trace.Session
+		want string
+	}{
+		{"out-of-order", session("bad-0", 20*time.Minute, 40*time.Minute, 30*time.Minute), "session bad-0 tasks out of order"},
+		{"before-start", session("bad-0", 5*time.Minute, 40*time.Minute), "session bad-0 task 0 submitted outside session"},
+	}
+	for _, tc := range cases {
+		tr := &trace.Trace{
+			Name: tc.name, Start: t0, End: t0.Add(3 * time.Hour), Granularity: time.Minute,
+			Sessions: []*trace.Session{
+				session("ok-0", 15*time.Minute, 50*time.Minute),
+				tc.bad,
+				session("ok-1", 20*time.Minute),
+			},
+		}
+		cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 8, Seed: 42}
+		stream := cfg
+		stream.Trace, stream.Source = nil, tr.AsSource()
+		fed := FedConfig{Trace: tr, Clusters: DefaultFedClusters(2, 8), Seed: 42}
+		fedStream := fed
+		fedStream.Trace, fedStream.Source = nil, tr.AsSource()
+		for _, r := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Run", func() error { _, err := Run(cfg); return err }},
+			{"Run-stream", func() error { _, err := Run(stream); return err }},
+			{"RunSharded", func() error { _, err := RunSharded(cfg, 2); return err }},
+			{"RunFederated", func() error { _, err := RunFederated(fed); return err }},
+			{"RunFederated-stream", func() error { _, err := RunFederated(fedStream); return err }},
+			{"RunFederatedSharded", func() error { _, err := RunFederatedSharded(fed, 2); return err }},
+		} {
+			t.Run(tc.name+"/"+r.name, func(t *testing.T) {
+				if err := r.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %v, want one containing %q", err, tc.want)
+				}
+			})
+		}
+	}
+}

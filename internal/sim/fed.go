@@ -371,6 +371,10 @@ type FedResult struct {
 	// RecoveryTime samples every recovery charge paid: failover elections
 	// and checkpoint-restore restart penalties, in seconds.
 	RecoveryTime *metrics.Sample
+
+	// DES work counters (see Result's matching block).
+	EventsFired       int64
+	PeakPendingEvents int
 }
 
 // hasMember reports whether a member spec carries the given name.

@@ -161,7 +161,8 @@ func runWorkers[C, R any](cfgs []C, run func(C) (R, error)) ([]R, error) {
 //     non-decreasing sim clock, so the per-shard slices are already sorted
 //     and the merge is a pre-sized sweep; equal-time events keep shard
 //     order, matching the stable sort this replaces.
-//   - Counters and integrated hours sum.
+//   - Counters and integrated hours sum; PeakPendingEvents, a per-engine
+//     high-water mark, takes the largest shard's.
 func MergeResults(results ...*Result) *Result {
 	if len(results) == 0 {
 		return nil
@@ -225,6 +226,8 @@ func MergeResults(results ...*Result) *Result {
 		out.LostGPUHours += r.LostGPUHours
 		out.PlacementCalls += r.PlacementCalls
 		out.PlacementHostVisits += r.PlacementHostVisits
+		out.EventsFired += r.EventsFired
+		out.PeakPendingEvents = max(out.PeakPendingEvents, r.PeakPendingEvents)
 	}
 	out.Availability = mergeFault(results, func(r *Result) *metrics.Timeline { return r.Availability }, metrics.MergeTimelines)
 	out.RecoveryTime = mergeFault(results, func(r *Result) *metrics.Sample { return r.RecoveryTime }, metrics.MergeSamples)
@@ -378,8 +381,9 @@ func floorShares(weights []float64, floor int) []int {
 // under the same rules as MergeResults: timelines merge pointwise (both
 // federation-wide and per member cluster, matched by member index — every
 // shard federation has the same member list), samples concatenate,
-// counters and integrated hours sum. FinalHosts sums across shards: it is
-// the total live fleet the k worker federations ended with.
+// counters and integrated hours sum (PeakPendingEvents takes the max).
+// FinalHosts sums across shards: it is the total live fleet the k worker
+// federations ended with.
 func MergeFedResults(results ...*FedResult) *FedResult {
 	if len(results) == 0 {
 		return nil
@@ -463,6 +467,8 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 		out.TaskRestarts += r.TaskRestarts
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
+		out.EventsFired += r.EventsFired
+		out.PeakPendingEvents = max(out.PeakPendingEvents, r.PeakPendingEvents)
 	}
 	out.Availability = mergeFault(results, func(r *FedResult) *metrics.Timeline { return r.Availability }, metrics.MergeTimelines)
 	out.RecoveryTime = mergeFault(results, func(r *FedResult) *metrics.Sample { return r.RecoveryTime }, metrics.MergeSamples)

@@ -284,6 +284,12 @@ type Result struct {
 	// calls and the hosts they read. Deterministic work counters.
 	PlacementCalls      int64
 	PlacementHostVisits int64
+
+	// DES work: the events the engine fired and its pending-event
+	// high-water mark (des.Engine Steps and PeakLen). Deterministic work
+	// counters; merged runs sum the first and take the max of the second.
+	EventsFired       int64
+	PeakPendingEvents int
 }
 
 // simSession is the per-session simulation state.
@@ -722,9 +728,9 @@ func newSim(cfg FedConfig, run *Config) (*sim, error) {
 
 	if s.streaming {
 		// Sessions are admitted lazily: the injector event at each session's
-		// start materializes it, schedules its end and task arrivals, and
-		// pulls the next one — pending-event count tracks concurrency, not
-		// workload size.
+		// start materializes it, schedules its end and first task arrival,
+		// and pulls the next one — pending-event count tracks concurrency,
+		// not workload size.
 		next, stop := iter.Pull(func(yield func(*trace.Session) bool) {
 			s.srcErr = src.Sessions(yield)
 		})
@@ -734,9 +740,10 @@ func newSim(cfg FedConfig, run *Config) (*sim, error) {
 			s.eng.ScheduleRunner(first.Start, &injector{s: s, sess: first})
 		}
 	} else {
-		// The whole trace is scheduled up front: one event per session
-		// boundary plus one per task arrival.
-		s.eng.Reserve(2*sessions + numTasks + 16)
+		// Every session boundary is scheduled up front; task arrivals
+		// chain per session (see arrivals), so the heap peaks at the
+		// session boundaries plus one arrival per session.
+		s.eng.Reserve(2*sessions + 16)
 		for _, sess := range cfg.Trace.Sessions {
 			ss, err := s.admit(sess)
 			if err != nil {
@@ -761,10 +768,15 @@ func (s *sim) provisionsServers() bool {
 	return s.policy == PolicyNotebookOS || s.policy == PolicyLCP
 }
 
-// admit builds a session's state in arrival order: it checks that some
-// member's hosts can hold the request, assigns the workload and the
-// round-robin home member.
+// admit builds a session's state in arrival order: it checks that the
+// session is well formed (its tasks sorted by Submit within its lifetime,
+// which the arrival cursor relies on) and that some member's hosts can
+// hold the request, then assigns the workload and the round-robin home
+// member.
 func (s *sim) admit(sess *trace.Session) (*simSession, error) {
+	if err := sess.Validate(); err != nil {
+		return nil, err
+	}
 	if err := s.fitsSomeMember(sess); err != nil {
 		return nil, err
 	}
@@ -780,13 +792,40 @@ func (s *sim) admit(sess *trace.Session) (*simSession, error) {
 	return ss, nil
 }
 
-// scheduleSession schedules an admitted session's end and task arrivals.
+// scheduleSession schedules an admitted session's end and the first of
+// its task arrivals; the rest chain through the session's arrivals cursor.
 func (s *sim) scheduleSession(ss *simSession) {
 	s.eng.Schedule(ss.src.End, func() { s.sessionEnd(ss) })
-	for _, task := range ss.src.Tasks {
-		task := task
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
+	if tasks := ss.src.Tasks; len(tasks) > 0 {
+		a := &arrivals{s: s, ss: ss, seq: s.eng.ReserveSeqs(len(tasks))}
+		s.eng.ScheduleRunnerSeq(tasks[0].Submit, a.seq, a)
 	}
+}
+
+// arrivals is a session's task-arrival cursor: firing task next schedules
+// task next+1, so a live session keeps one pending arrival instead of its
+// whole task list. The session's sequence numbers are reserved when it is
+// scheduled, and admission guarantees its tasks are sorted by Submit, so
+// every arrival fires at the (time, sequence) position eager scheduling
+// gave it. It is allocated only for sessions with tasks (most streamed
+// sessions have none).
+type arrivals struct {
+	s  *sim
+	ss *simSession
+	// seq is the reserved sequence number of Tasks[0]; Tasks[i] fires
+	// with seq+i.
+	seq  int64
+	next int
+}
+
+func (a *arrivals) Fire() {
+	tasks := a.ss.src.Tasks
+	task := tasks[a.next]
+	a.next++
+	if a.next < len(tasks) {
+		a.s.eng.ScheduleRunnerSeq(tasks[a.next].Submit, a.seq+int64(a.next), a)
+	}
+	a.s.taskArrive(a.ss, task)
 }
 
 // close releases the streaming source's iterator; safe on any sim and
@@ -820,6 +859,7 @@ func (s *sim) finish() error {
 	for _, m := range s.members {
 		m.res.FinalHosts = m.c.NumHosts()
 	}
+	s.res.EventsFired, s.res.PeakPendingEvents = s.eng.Steps(), s.eng.PeakLen()
 	return nil
 }
 
@@ -847,6 +887,7 @@ func (s *sim) result() *Result {
 		r.StandbyReplicaHours = r.ActiveSessions.Integral(s.start, s.end) * float64(s.cfg.ReplicasPerKernel)
 	}
 	r.PlacementCalls, r.PlacementHostVisits = m.c.PlacementWork()
+	r.EventsFired, r.PeakPendingEvents = f.EventsFired, f.PeakPendingEvents
 	return r
 }
 

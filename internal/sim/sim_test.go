@@ -247,3 +247,58 @@ func TestGPUHoursSavedPositive(t *testing.T) {
 			saved, reservedHours, nbosHours)
 	}
 }
+
+// TestPendingEventsBoundedByConcurrency: each session keeps one pending
+// task arrival, so the engine's pending-event high-water mark follows the
+// sessions alive at once, not the trace's task count; scheduling every
+// arrival up front made it exceed the task count.
+func TestPendingEventsBoundedByConcurrency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10-day summer trace")
+	}
+	cfg := trace.AdobeSummerConfig(42)
+	cfg.Duration = 10 * 24 * time.Hour
+	tr := trace.MustGenerate(cfg)
+	res, err := Run(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := tr.NumTasks()
+	t.Logf("%d sessions, %d tasks: %d events fired, pending peak %d",
+		len(tr.Sessions), tasks, res.EventsFired, res.PeakPendingEvents)
+	if res.PeakPendingEvents <= 0 || res.PeakPendingEvents >= tasks/8 {
+		t.Fatalf("pending-event peak %d, want in (0, %d)", res.PeakPendingEvents, tasks/8)
+	}
+	if res.EventsFired <= int64(tasks) {
+		t.Fatalf("%d events fired, want more than the %d task arrivals", res.EventsFired, tasks)
+	}
+}
+
+// TestMergeResultsDESCounters: merged runs sum the events fired and keep
+// the largest pending-event peak, both for Result and FedResult.
+func TestMergeResultsDESCounters(t *testing.T) {
+	tr := shortTrace(t)
+	a := runPolicy(t, tr, PolicyNotebookOS)
+	b, err := Run(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 10, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MergeResults(a, b)
+	if m.EventsFired != a.EventsFired+b.EventsFired || m.PeakPendingEvents != max(a.PeakPendingEvents, b.PeakPendingEvents) {
+		t.Fatalf("merged (%d, %d) from (%d, %d) and (%d, %d)", m.EventsFired, m.PeakPendingEvents,
+			a.EventsFired, a.PeakPendingEvents, b.EventsFired, b.PeakPendingEvents)
+	}
+	fa, err := RunFederated(FedConfig{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := RunFederated(FedConfig{Trace: tr, Clusters: DefaultFedClusters(3, 12), Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := MergeFedResults(fa, fb)
+	if fm.EventsFired != fa.EventsFired+fb.EventsFired || fm.PeakPendingEvents != max(fa.PeakPendingEvents, fb.PeakPendingEvents) {
+		t.Fatalf("merged (%d, %d) from (%d, %d) and (%d, %d)", fm.EventsFired, fm.PeakPendingEvents,
+			fa.EventsFired, fa.PeakPendingEvents, fb.EventsFired, fb.PeakPendingEvents)
+	}
+}

@@ -9,20 +9,25 @@ import (
 
 // Streaming simulation
 //
-// The materialized path schedules a whole trace's events up front — one
-// event per session boundary plus one per task arrival — which makes the
-// engine's pending-event count (and the trace itself) linear in workload
-// size. The streaming path replaces both with a single injector event: it
-// fires at each session's start, materializes that session from the lazy
-// trace.Source, schedules its end and task arrivals, and pulls the next
-// session. Pending events then track *concurrency* (live sessions and their
-// in-flight tasks), so a 90-day million-session run holds only the few
-// thousand sessions alive at once.
+// The materialized path schedules only a whole trace's session boundaries
+// up front — a start and an end event per session — and the trace itself
+// is linear in workload size. The streaming path replaces both with a
+// single injector event: it fires at each session's start, materializes
+// that session from the lazy trace.Source, schedules its end and first
+// task arrival, and pulls the next session. On both paths task arrivals
+// chain per session (see arrivals): each fired arrival schedules the next,
+// so a live session keeps one pending arrival. Streamed pending events
+// then track *concurrency* (live sessions and their in-flight tasks), so a
+// 90-day million-session run holds only the few thousand sessions alive at
+// once.
 //
 // Event-order equivalence with the up-front loop: sessions arrive in
 // non-decreasing start order, so every event of an earlier session is
 // scheduled at an earlier (or equal) virtual time and carries a lower engine
-// sequence number — the same tie-break order the up-front loop produced.
+// sequence number — the same tie-break order the up-front loop produced. A
+// session's task arrivals reserve their sequence numbers when the session
+// is scheduled (des.ReserveSeqs), so they tie as if scheduled then on
+// either path, however late each link of the chain is pushed.
 // The remaining tie class — a trace event landing on the same nanosecond
 // as a periodic sampling or autoscale tick, common under coarse trace
 // granularities — is closed by scheduling the ticks in the engine's late

@@ -277,31 +277,41 @@ func (tr *Trace) Window(from, to time.Time) *Trace {
 	return out
 }
 
-// Validate checks internal consistency: sessions within the trace range,
-// tasks within their session, positive durations, tasks ordered, and no
-// task requesting more GPUs than its session reserved.
+// Validate checks internal consistency: every session is well formed
+// (see Session.Validate).
 func (tr *Trace) Validate() error {
 	for _, s := range tr.Sessions {
-		if s.End.Before(s.Start) {
-			return fmt.Errorf("trace: session %s ends before it starts", s.ID)
+		if err := s.Validate(); err != nil {
+			return err
 		}
-		prev := time.Time{}
-		for i, t := range s.Tasks {
-			if t.Submit.Before(s.Start) || t.Submit.After(s.End) {
-				return fmt.Errorf("trace: session %s task %d submitted outside session", s.ID, i)
-			}
-			if t.Duration <= 0 {
-				return fmt.Errorf("trace: session %s task %d non-positive duration", s.ID, i)
-			}
-			if t.GPUs < 0 || t.GPUs > s.Request.GPUs {
-				return fmt.Errorf("trace: session %s task %d GPUs %d exceeds request %d",
-					s.ID, i, t.GPUs, s.Request.GPUs)
-			}
-			if !prev.IsZero() && t.Submit.Before(prev) {
-				return fmt.Errorf("trace: session %s tasks out of order at %d", s.ID, i)
-			}
-			prev = t.Submit
+	}
+	return nil
+}
+
+// Validate checks a session's internal consistency: it does not end
+// before it starts, and its tasks lie within its lifetime, have positive
+// durations, are ordered by Submit, and request no more GPUs than the
+// session reserved.
+func (s *Session) Validate() error {
+	if s.End.Before(s.Start) {
+		return fmt.Errorf("trace: session %s ends before it starts", s.ID)
+	}
+	prev := time.Time{}
+	for i, t := range s.Tasks {
+		if t.Submit.Before(s.Start) || t.Submit.After(s.End) {
+			return fmt.Errorf("trace: session %s task %d submitted outside session", s.ID, i)
 		}
+		if t.Duration <= 0 {
+			return fmt.Errorf("trace: session %s task %d non-positive duration", s.ID, i)
+		}
+		if t.GPUs < 0 || t.GPUs > s.Request.GPUs {
+			return fmt.Errorf("trace: session %s task %d GPUs %d exceeds request %d",
+				s.ID, i, t.GPUs, s.Request.GPUs)
+		}
+		if !prev.IsZero() && t.Submit.Before(prev) {
+			return fmt.Errorf("trace: session %s tasks out of order at %d", s.ID, i)
+		}
+		prev = t.Submit
 	}
 	return nil
 }
