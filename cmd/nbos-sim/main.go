@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -62,7 +63,7 @@ func main() {
 		}
 	}
 	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, Stream: *stream}
-	code := run(o, *exp, *scenario, *faults, *list, *jobs)
+	code := run(os.Stdout, o, *exp, *scenario, *faults, *list, *jobs)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -90,10 +91,10 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
-// run executes the command line's listing, scenario or experiment and
-// returns the process exit code. It never calls os.Exit, so main can
-// close the profiles first.
-func run(o experiments.Options, exp, scenario, faults string, list bool, jobs int) int {
+// run executes the command line's listing, scenario or experiment, prints
+// its report to w, and returns the process exit code. It never calls
+// os.Exit, so main can close the profiles first.
+func run(w io.Writer, o experiments.Options, exp, scenario, faults string, list bool, jobs int) int {
 	if o.Shards < 1 {
 		fmt.Fprintf(os.Stderr, "-shards must be at least 1, got %d\n", o.Shards)
 		return 2
@@ -121,15 +122,15 @@ func run(o experiments.Options, exp, scenario, faults string, list bool, jobs in
 			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", scenario, err)
 			return 1
 		}
-		fmt.Print(out)
-		fmt.Printf("[scenario %s completed in %.1fs]\n\n", scenario, time.Since(t0).Seconds())
+		fmt.Fprint(w, out)
+		fmt.Fprintf(w, "[scenario %s completed in %.1fs]\n\n", scenario, time.Since(t0).Seconds())
 		return 0
 	}
 
 	if list || exp == "" {
-		fmt.Println("experiments:")
+		fmt.Fprintln(w, "experiments:")
 		for _, e := range experiments.All() {
-			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
+			fmt.Fprintf(w, "  %-18s %s\n", e.ID, e.Title)
 		}
 		if exp == "" && !list {
 			return 2
@@ -138,7 +139,7 @@ func run(o experiments.Options, exp, scenario, faults string, list bool, jobs in
 	}
 
 	if exp == "all" {
-		return runAll(o, jobs)
+		return runAll(w, o, jobs)
 	}
 	e, ok := experiments.ByID(exp)
 	if !ok {
@@ -151,8 +152,8 @@ func run(o experiments.Options, exp, scenario, faults string, list bool, jobs in
 		fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 		return 1
 	}
-	fmt.Print(out)
-	fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(t0).Seconds())
+	fmt.Fprint(w, out)
+	fmt.Fprintf(w, "[%s completed in %.1fs]\n\n", e.ID, time.Since(t0).Seconds())
 	return 0
 }
 
@@ -162,7 +163,7 @@ func run(o experiments.Options, exp, scenario, faults string, list bool, jobs in
 // scheduling) — and stream as soon as every earlier experiment has
 // printed, rather than buffering behind the slowest of the whole suite.
 // It returns the process exit code.
-func runAll(o experiments.Options, jobs int) int {
+func runAll(w io.Writer, o experiments.Options, jobs int) int {
 	all := experiments.All()
 	type outcome struct {
 		out  string
@@ -192,8 +193,8 @@ func runAll(o experiments.Options, jobs int) int {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, r.err)
 			return 1
 		}
-		fmt.Print(r.out)
-		fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, r.took.Seconds())
+		fmt.Fprint(w, r.out)
+		fmt.Fprintf(w, "[%s completed in %.1fs]\n\n", e.ID, r.took.Seconds())
 	}
 	return 0
 }

@@ -32,7 +32,7 @@ func TestRunRejectsBadCounts(t *testing.T) {
 			o := experiments.Options{Seed: 42, Quick: true, Shards: tc.shards}
 			var code int
 			stderr := captureStderr(t, func() {
-				code = run(o, tc.exp, "", "", tc.exp == "", tc.jobs)
+				code = run(os.Stdout, o, tc.exp, "", "", tc.exp == "", tc.jobs)
 			})
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d (stderr %q)", code, tc.code, stderr)
