@@ -24,7 +24,7 @@ func recount(c *cluster.Cluster) (total, subscribed, committed int) {
 }
 
 // recountEmpty counts member hosts with no replicas and nothing committed,
-// reading each host's locked replica map and its commitment pool.
+// reading each host's locked replica count and its commitment pool.
 func recountEmpty(c *cluster.Cluster) int {
 	n := 0
 	for _, h := range c.Hosts() {
@@ -171,7 +171,11 @@ func checkPlacement(t *testing.T, c *cluster.Cluster, step string) {
 // empty-host count equal a from-scratch recount, and that the indexed
 // LeastLoaded placement equals a full reference scan. The operations: add,
 // remove and crash hosts, place and remove replicas, commit and release —
-// including on hosts detached by a crash. Hosts come in mixed capacity
+// including on hosts detached by a crash — and removals through stale,
+// repeated and zero replica handles, which must fail and change nothing.
+// A model of the live handles pins each host's NumReplicas, Empty and
+// subscription, and freed slots are reused under fresh handles that must
+// never collide with a live one. Hosts come in mixed capacity
 // classes (two 8-GPU shapes, 4 GPUs, none). Their IDs run past
 // sim-h9999, where string order stops matching numeric order, and some
 // use a second, longer naming scheme (sim-cluster-east-h<n>) interleaved
@@ -192,7 +196,30 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 			h   *cluster.Host
 			key string
 		}
-		var replicas, commits []placement
+		type replica struct {
+			h   *cluster.Host
+			rh  cluster.ReplicaHandle
+			req resources.Spec
+		}
+		var commits []placement
+		// replicas are the live subscriptions, stale the removed ones
+		// (their handles must stay dead after their slots are reused).
+		var replicas, stale []replica
+		place := func(h *cluster.Host, req resources.Spec) bool {
+			rh, err := h.PlaceReplica(req)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			for _, p := range replicas {
+				if p.h == h && p.rh == rh {
+					t.Errorf("%s: handle %v issued twice", h.ID, rh)
+					return false
+				}
+			}
+			replicas = append(replicas, replica{h, rh, req})
+			return true
+		}
 		nextID := 9990
 		randReq := func() resources.Spec {
 			g := r.Intn(5)
@@ -210,7 +237,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 		}
 
 		for step := 0; step < 300; step++ {
-			switch op := r.Intn(9); op {
+			switch op := r.Intn(10); op {
 			case 0, 1: // add host
 				nextID++
 				id := fmt.Sprintf("sim-h%04d", nextID)
@@ -246,35 +273,30 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					crashed = append(crashed, h)
 				}
 			case 4: // place replica
-				if h := pick(); h != nil {
-					key := fmt.Sprintf("k%d/r%d", step, r.Intn(3)+1)
-					if err := h.PlaceReplica(key, randReq()); err == nil {
-						replicas = append(replicas, placement{h, key})
-					}
+				if h := pick(); h != nil && !place(h, randReq()) {
+					return false
 				}
 			case 5: // place a kernel's replicas where LeastLoaded says
 				n := 1 + 2*r.Intn(3)
 				req := randReq()
 				sel, err := scheduler.LeastLoaded{}.SelectHosts(c, req, n)
 				if err == nil {
-					for i, h := range sel {
-						key := fmt.Sprintf("k%d/r%d", step, i+1)
-						if err := h.PlaceReplica(key, req); err != nil {
-							t.Error(err)
+					for _, h := range sel {
+						if !place(h, req) {
 							return false
 						}
-						replicas = append(replicas, placement{h, key})
 					}
 				}
-			case 6: // remove replica
+			case 6: // remove replica, from a member or a crashed host
 				if len(replicas) > 0 {
 					i := r.Intn(len(replicas))
 					p := replicas[i]
-					if err := p.h.RemoveReplica(p.key); err != nil {
+					if err := p.h.RemoveReplica(p.rh); err != nil {
 						t.Error(err)
 						return false
 					}
 					replicas = append(replicas[:i], replicas[i+1:]...)
+					stale = append(stale, p)
 				}
 			case 7: // commit
 				if h := pick(); h != nil {
@@ -293,12 +315,42 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					}
 					commits = append(commits[:i], commits[i+1:]...)
 				}
+			case 9: // remove through a stale, repeated or zero handle
+				h, rh := pick(), cluster.ReplicaHandle{}
+				if len(stale) > 0 && r.Intn(4) != 0 {
+					p := stale[r.Intn(len(stale))]
+					h, rh = p.h, p.rh
+				}
+				if h == nil {
+					break
+				}
+				sub, n, total := h.Subscribed(), h.NumReplicas(), c.SubscribedGPUs()
+				if err := h.RemoveReplica(rh); err == nil {
+					t.Errorf("%s: removal through dead handle %v succeeded", h.ID, rh)
+					return false
+				}
+				if h.Subscribed() != sub || h.NumReplicas() != n || c.SubscribedGPUs() != total {
+					t.Errorf("%s: failed removal through %v changed the counters", h.ID, rh)
+					return false
+				}
 			}
 			name := fmt.Sprintf("seed %d step %d", seed, step)
 			checkAggregates(t, c, name)
 			checkPlacement(t, c, name)
+			live := map[*cluster.Host]int{}
+			subs := map[*cluster.Host]resources.Spec{}
+			for _, p := range replicas {
+				live[p.h]++
+				subs[p.h] = subs[p.h].Add(p.req)
+			}
 			for _, h := range append(hosts, crashed...) {
-				if got, want := h.Empty(), h.NumReplicas() == 0 && h.Committed().IsZero(); got != want {
+				if got, want := h.NumReplicas(), live[h]; got != want {
+					t.Fatalf("%s: %s NumReplicas() = %d, live handles %d", name, h.ID, got, want)
+				}
+				if got, want := h.Subscribed(), subs[h]; got != want {
+					t.Fatalf("%s: %s Subscribed() = %v, live handles sum to %v", name, h.ID, got, want)
+				}
+				if got, want := h.Empty(), live[h] == 0 && h.Committed().IsZero(); got != want {
 					t.Fatalf("%s: %s Empty() = %v, recount %v", name, h.ID, got, want)
 				}
 				if got, want := h.IdleGPUs(), h.Capacity.GPUs-h.Committed().GPUs; got != want {
@@ -472,8 +524,8 @@ func TestLockFreeReadsUnderConcurrentMutation(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				h := hosts[r.Intn(len(hosts))]
 				key := fmt.Sprintf("w%d-%d", w, i)
-				if h.PlaceReplica(key, req) == nil && r.Intn(2) == 0 {
-					_ = h.RemoveReplica(key)
+				if rh, err := h.PlaceReplica(req); err == nil && r.Intn(2) == 0 {
+					_ = h.RemoveReplica(rh)
 				}
 				if h.Commit(key, req) == nil {
 					_ = h.Release(key)

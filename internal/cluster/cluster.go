@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -30,6 +29,24 @@ type aggregates struct {
 	placeVisits atomic.Int64
 }
 
+// ReplicaHandle names one replica subscription on the host whose
+// PlaceReplica issued it; it means nothing to any other host. The zero
+// handle names no replica.
+type ReplicaHandle struct {
+	slot int32
+	gen  uint32
+}
+
+// replicaSlot is one entry of a host's replica table. gen counts the
+// slot's placements and removals, so it is odd exactly while the slot is
+// occupied; a handle carries the gen of its placement, which makes a
+// stale or repeated removal (and the zero handle, gen 0) a mismatch
+// rather than the removal of whichever replica reused the slot.
+type replicaSlot struct {
+	req resources.Spec
+	gen uint32
+}
+
 // Host is one GPU server.
 type Host struct {
 	ID       string
@@ -45,7 +62,13 @@ type Host struct {
 
 	mu         sync.Mutex
 	subscribed resources.Spec
-	replicas   map[string]resources.Spec
+	// slots is the host's dense replica table, indexed by ReplicaHandle;
+	// free stacks the indices of vacated slots for reuse, and live counts
+	// the occupied ones. A slot never moves, so a handle stays valid until
+	// its own removal.
+	slots []replicaSlot
+	free  []int32
+	live  int
 	// ledger is the host's own record of committed resources, updated
 	// under mu by the pool observers in commit/release order. attach and
 	// detach read it (also under mu) instead of snapshotting the pool, so
@@ -82,7 +105,6 @@ func NewHost(id string, capacity resources.Spec) *Host {
 		ID:        id,
 		Capacity:  capacity,
 		committed: resources.NewPool(capacity),
-		replicas:  map[string]resources.Spec{},
 	}
 	h.empty.Store(true)
 	h.committed.Observe(h.onCommitted, h.onReleased)
@@ -128,7 +150,7 @@ func (h *Host) onReleased(req resources.Spec) {
 // to its emptiness flag, the owning cluster's empty-host count and the
 // cluster's load index. Called with h.mu held, after the change.
 func (h *Host) loadChanged() {
-	empty := len(h.replicas) == 0 && h.ledger.IsZero()
+	empty := h.live == 0 && h.ledger.IsZero()
 	if empty != h.empty.Load() {
 		h.empty.Store(empty)
 		if h.c != nil {
@@ -178,38 +200,51 @@ func (h *Host) detach() {
 	h.mu.Unlock()
 }
 
-// PlaceReplica subscribes a kernel replica's resource request on the host.
-// Subscription does not commit resources (paper §3.2.1: "resources are not
-// exclusively committed... the kernel replicas subscribe to the requested
-// resources").
-func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
+// PlaceReplica subscribes a kernel replica's resource request on the host
+// and returns the handle that later unsubscribes it. Subscription does not
+// commit resources (paper §3.2.1: "resources are not exclusively
+// committed... the kernel replicas subscribe to the requested resources").
+func (h *Host) PlaceReplica(req resources.Spec) (ReplicaHandle, error) {
 	if err := req.Validate(); err != nil {
-		return err
+		return ReplicaHandle{}, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.replicas[replicaID]; ok {
-		return fmt.Errorf("cluster: replica %s already on host %s", replicaID, h.ID)
+	var i int32
+	if n := len(h.free); n > 0 {
+		i = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		i = int32(len(h.slots))
+		h.slots = append(h.slots, replicaSlot{})
 	}
-	h.replicas[replicaID] = req
+	slot := &h.slots[i]
+	slot.gen++
+	slot.req = req
+	h.live++
 	h.subscribed = h.subscribed.Add(req)
 	h.subGPUs.Store(int64(h.subscribed.GPUs))
 	if h.c != nil {
 		h.c.agg.subscribedGPUs.Add(int64(req.GPUs))
 	}
 	h.loadChanged()
-	return nil
+	return ReplicaHandle{slot: i, gen: slot.gen}, nil
 }
 
-// RemoveReplica unsubscribes a replica (kernel shutdown or migration).
-func (h *Host) RemoveReplica(replicaID string) error {
+// RemoveReplica unsubscribes the replica rh names (kernel shutdown or
+// migration). A handle that is stale, already removed or zero is an
+// error, and changes nothing.
+func (h *Host) RemoveReplica(rh ReplicaHandle) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	req, ok := h.replicas[replicaID]
-	if !ok {
-		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
+	if uint32(rh.slot) >= uint32(len(h.slots)) || rh.gen&1 == 0 || h.slots[rh.slot].gen != rh.gen {
+		return fmt.Errorf("cluster: no replica under handle %d.%d on host %s", rh.slot, rh.gen, h.ID)
 	}
-	delete(h.replicas, replicaID)
+	slot := &h.slots[rh.slot]
+	slot.gen++
+	req := slot.req
+	h.free = append(h.free, rh.slot)
+	h.live--
 	h.subscribed = h.subscribed.Sub(req)
 	h.subGPUs.Store(int64(h.subscribed.GPUs))
 	if h.c != nil {
@@ -219,39 +254,11 @@ func (h *Host) RemoveReplica(replicaID string) error {
 	return nil
 }
 
-// HasReplica reports whether the replica is subscribed on this host.
-func (h *Host) HasReplica(replicaID string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, ok := h.replicas[replicaID]
-	return ok
-}
-
-// ReplicaRequest returns the subscribed request of a replica.
-func (h *Host) ReplicaRequest(replicaID string) (resources.Spec, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	req, ok := h.replicas[replicaID]
-	return req, ok
-}
-
-// Replicas returns the IDs of replicas subscribed on the host, sorted.
-func (h *Host) Replicas() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.replicas))
-	for id := range h.replicas {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NumReplicas returns the number of subscribed replicas.
 func (h *Host) NumReplicas() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.replicas)
+	return h.live
 }
 
 // Subscribed returns the sum of subscribed resource requests.

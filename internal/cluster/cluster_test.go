@@ -13,35 +13,57 @@ func req(gpus int) resources.Spec {
 
 func TestHostSubscription(t *testing.T) {
 	h := NewHost("h1", resources.P316xlarge())
-	if err := h.PlaceReplica("k1/r1", req(4)); err != nil {
+	r1, err := h.PlaceReplica(req(4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.PlaceReplica("k1/r1", req(4)); err == nil {
-		t.Fatal("duplicate placement must fail")
-	}
-	if err := h.PlaceReplica("k2/r1", req(4)); err != nil {
+	r2, err := h.PlaceReplica(req(4))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if r1 == r2 || r1 == (ReplicaHandle{}) {
+		t.Fatalf("handles %v and %v must be distinct and non-zero", r1, r2)
 	}
 	if got := h.Subscribed().GPUs; got != 8 {
 		t.Fatalf("subscribed = %d", got)
 	}
-	if !h.HasReplica("k1/r1") || h.NumReplicas() != 2 {
+	if h.NumReplicas() != 2 || h.Empty() {
 		t.Fatal("replica bookkeeping")
 	}
-	if r, ok := h.ReplicaRequest("k2/r1"); !ok || r.GPUs != 4 {
-		t.Fatal("ReplicaRequest")
-	}
-	if got := h.Replicas(); len(got) != 2 || got[0] != "k1/r1" {
-		t.Fatalf("Replicas = %v", got)
-	}
-	if err := h.RemoveReplica("k1/r1"); err != nil {
+	if err := h.RemoveReplica(r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.RemoveReplica("k1/r1"); err == nil {
+	if err := h.RemoveReplica(r1); err == nil {
 		t.Fatal("double removal must fail")
+	}
+	if err := h.RemoveReplica(ReplicaHandle{}); err == nil {
+		t.Fatal("the zero handle must not remove anything")
 	}
 	if got := h.Subscribed().GPUs; got != 4 {
 		t.Fatalf("subscribed after removal = %d", got)
+	}
+	// The vacated slot is reused under a new generation: the stale handle
+	// must not unsubscribe the replica that now lives there.
+	r3, err := h.PlaceReplica(req(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.slot != r1.slot || r3 == r1 {
+		t.Fatalf("reuse: got %v after freeing %v", r3, r1)
+	}
+	if err := h.RemoveReplica(r1); err == nil {
+		t.Fatal("a stale handle must not remove the slot's new replica")
+	}
+	if got := h.Subscribed().GPUs; got != 6 || h.NumReplicas() != 2 {
+		t.Fatalf("after stale removal: subscribed = %d, replicas = %d", got, h.NumReplicas())
+	}
+	for _, rh := range []ReplicaHandle{r2, r3} {
+		if err := h.RemoveReplica(rh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !h.Empty() || h.Subscribed().GPUs != 0 {
+		t.Fatal("host must be empty after removing every replica")
 	}
 }
 
@@ -50,7 +72,7 @@ func TestSubscriptionRatioPaperExample(t *testing.T) {
 	// 4 GPUs: S=16, SR = 16/(8*3) = 0.667.
 	h := NewHost("H", resources.P316xlarge())
 	for i := 0; i < 4; i++ {
-		if err := h.PlaceReplica(string(rune('a'+i)), req(4)); err != nil {
+		if _, err := h.PlaceReplica(req(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +89,7 @@ func TestHostCommitIndependentOfSubscription(t *testing.T) {
 	h := NewHost("h1", resources.P316xlarge())
 	// Oversubscribe: 5 replicas of 4 GPUs each (S=20 > G=8).
 	for i := 0; i < 5; i++ {
-		if err := h.PlaceReplica(string(rune('a'+i)), req(4)); err != nil {
+		if _, err := h.PlaceReplica(req(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,8 +133,8 @@ func TestClusterAccounting(t *testing.T) {
 	if c.NumHosts() != 2 || c.TotalGPUs() != 16 {
 		t.Fatalf("hosts=%d gpus=%d", c.NumHosts(), c.TotalGPUs())
 	}
-	h1.PlaceReplica("k1/r1", req(4))
-	h2.PlaceReplica("k1/r2", req(4))
+	h1.PlaceReplica(req(4))
+	r2, _ := h2.PlaceReplica(req(4))
 	if got := c.SubscribedGPUs(); got != 8 {
 		t.Fatalf("subscribed = %d", got)
 	}
@@ -128,7 +150,7 @@ func TestClusterAccounting(t *testing.T) {
 	if err := c.RemoveHost("h1"); err == nil {
 		t.Fatal("removal with replicas must fail")
 	}
-	h2.RemoveReplica("k1/r2")
+	h2.RemoveReplica(r2)
 	if err := c.RemoveHost("h2"); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +173,7 @@ func TestClusterDefaultR(t *testing.T) {
 
 func TestPlaceReplicaRejectsNegative(t *testing.T) {
 	h := NewHost("h", resources.P316xlarge())
-	if err := h.PlaceReplica("r", resources.Spec{GPUs: -1}); err == nil {
+	if _, err := h.PlaceReplica(resources.Spec{GPUs: -1}); err == nil {
 		t.Fatal("negative request must fail")
 	}
 }

@@ -6,6 +6,13 @@
 // (internal/sim) operate on this state, so placement decisions cannot
 // drift between the two.
 //
+// Replicas subscribe through integer handles: Host.PlaceReplica returns a
+// ReplicaHandle and Host.RemoveReplica takes it back. A host keeps its
+// replicas in a dense slot slice with a free list, so a handle stays
+// valid until its own removal. Each handle carries its slot's generation,
+// which makes a stale, repeated or zero handle an error that changes
+// nothing, never the removal of whichever replica reused the slot.
+//
 // Cluster-wide GPU aggregates (total / subscribed / committed) are
 // maintained incrementally: every PlaceReplica, RemoveReplica, Commit,
 // Release, AddHost, and RemoveHost updates atomic counters, so TotalGPUs,

@@ -47,7 +47,7 @@ func TestFederationAggregatesSumMembers(t *testing.T) {
 	}
 	m0, _ := f.Member(0)
 	h := m0.Cluster.Hosts()[0]
-	if err := h.PlaceReplica("k/r1", gpuReq(2)); err != nil {
+	if _, err := h.PlaceReplica(gpuReq(2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Commit("k/r1/t1", gpuReq(2)); err != nil {
@@ -127,7 +127,7 @@ func TestLeastSubscribedPrefersIdleCluster(t *testing.T) {
 	// Subscribe heavily on member 0 so member 1 has the lower SR.
 	m0, _ := f.Member(0)
 	h := m0.Cluster.Hosts()[0]
-	if err := h.PlaceReplica("k/r1", gpuReq(8)); err != nil {
+	if _, err := h.PlaceReplica(gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}
 	got := LeastSubscribed{}.Order(f, 0, nil)
@@ -148,7 +148,7 @@ func TestLatencyAwareTradesLoadAgainstPenalty(t *testing.T) {
 		f := newFed(t, penalty, 1, 1)
 		m0, _ := f.Member(0)
 		// Home SR = 8/(8*3) = 1/3; remote SR = 0.
-		if err := m0.Cluster.Hosts()[0].PlaceReplica("k/r1", gpuReq(8)); err != nil {
+		if _, err := m0.Cluster.Hosts()[0].PlaceReplica(gpuReq(8)); err != nil {
 			t.Fatal(err)
 		}
 		return f
@@ -239,7 +239,7 @@ func TestDeploymentRoutesAcrossGlobalSchedulers(t *testing.T) {
 func TestRouteScratchReuse(t *testing.T) {
 	f := newFed(t, 25*time.Millisecond, 1, 1, 1)
 	m0, _ := f.Member(0)
-	if err := m0.Cluster.Hosts()[0].PlaceReplica("k/r1", gpuReq(8)); err != nil {
+	if _, err := m0.Cluster.Hosts()[0].PlaceReplica(gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}
 	policies := []RoutePolicy{LocalFirst{}, LeastSubscribed{}, LatencyAware{}}

@@ -27,7 +27,7 @@ func randFed(t *testing.T, r *rand.Rand) *Federation {
 			for k, placements := 0, r.Intn(4); k < placements; k++ {
 				req := gpuReq(1 + r.Intn(4))
 				key := fmt.Sprintf("k%d-%d-%d/r1", i, j, k)
-				if err := h.PlaceReplica(key, req); err != nil {
+				if _, err := h.PlaceReplica(req); err != nil {
 					continue
 				}
 				if r.Intn(2) == 0 {
@@ -222,7 +222,7 @@ func TestRoundRobinRotation(t *testing.T) {
 	load := func() {
 		m := f.AppendMembers(nil)[1]
 		h := cluster.NewHost("rr-extra", resources.P316xlarge())
-		if err := h.PlaceReplica("rr-k/r1", gpuReq(8)); err != nil {
+		if _, err := h.PlaceReplica(gpuReq(8)); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Commit("rr-k/r1/t", gpuReq(8)); err != nil {
@@ -256,7 +256,7 @@ func TestSnapshotCapturesState(t *testing.T) {
 	f := newFed(t, 10*time.Millisecond, 2, 1)
 	m := f.AppendMembers(nil)
 	h := cluster.NewHost("snap-h", resources.P316xlarge())
-	if err := h.PlaceReplica("snap-k/r1", gpuReq(4)); err != nil {
+	if _, err := h.PlaceReplica(gpuReq(4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Commit("snap-k/r1/t", gpuReq(4)); err != nil {

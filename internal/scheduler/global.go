@@ -150,7 +150,8 @@ type kernelState struct {
 	k       *kernel.Kernel
 
 	mu           sync.Mutex
-	hosts        map[int]*cluster.Host // replica number -> host
+	hosts        map[int]*cluster.Host         // replica number -> host
+	handles      map[int]cluster.ReplicaHandle // replica number -> its subscription on hosts[n]
 	pending      map[uint64]*pendingExec
 	lastExecutor int
 	migrating    map[uint64]bool
@@ -323,10 +324,13 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 		return err
 	}
 	// Subscribe the replicas on their hosts.
+	handles := make(map[int]cluster.ReplicaHandle, len(hosts))
 	for i, h := range hosts {
-		if err := h.PlaceReplica(replicaKey(kernelID, i+1), req); err != nil {
+		rh, err := h.PlaceReplica(req)
+		if err != nil {
 			return err
 		}
+		handles[i+1] = rh
 	}
 	// Provision containers in parallel (cold or pre-warmed).
 	var wg sync.WaitGroup
@@ -351,6 +355,7 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 		session:   session,
 		req:       req,
 		hosts:     map[int]*cluster.Host{},
+		handles:   handles,
 		pending:   map[uint64]*pendingExec{},
 		migrating: map[uint64]bool{},
 	}
@@ -462,15 +467,14 @@ func (gs *GlobalScheduler) StopKernel(kernelID string) error {
 	}
 	ks.k.Stop()
 	ks.mu.Lock()
-	hosts := ks.hosts
-	ks.hosts = map[int]*cluster.Host{}
+	hosts, handles := ks.hosts, ks.handles
+	ks.hosts, ks.handles = map[int]*cluster.Host{}, map[int]cluster.ReplicaHandle{}
 	ks.mu.Unlock()
 	for i, h := range hosts {
-		key := replicaKey(kernelID, i)
 		if ls, ok := gs.Local(h.ID); ok {
-			ls.UnregisterReplica(key)
+			ls.UnregisterReplica(replicaKey(kernelID, i))
 		}
-		_ = h.RemoveReplica(key)
+		_ = h.RemoveReplica(handles[i])
 	}
 	return nil
 }
@@ -628,7 +632,7 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 
 	oldKey := replicaKey(ks.id, victim)
 	ks.mu.Lock()
-	oldHost := ks.hosts[victim]
+	oldHost, oldHandle := ks.hosts[victim], ks.handles[victim]
 	ks.mu.Unlock()
 
 	// Provision the destination container (pre-warmed when available).
@@ -637,12 +641,13 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 		gs.failExecution(ks, term, "migration target has no local scheduler")
 		return
 	}
-	if err := target.PlaceReplica(oldKey, ks.req); err != nil {
+	newHandle, err := target.PlaceReplica(ks.req)
+	if err != nil {
 		gs.failExecution(ks, term, err.Error())
 		return
 	}
 	if _, _, err := ls.ProvisionReplica(oldKey); err != nil {
-		_ = target.RemoveReplica(oldKey)
+		_ = target.RemoveReplica(newHandle)
 		gs.failExecution(ks, term, err.Error())
 		return
 	}
@@ -651,7 +656,7 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 	// reconfigure, restore, replay).
 	newReplica, err := ks.k.ReplaceReplica(victim, 60*time.Second)
 	if err != nil {
-		_ = target.RemoveReplica(oldKey)
+		_ = target.RemoveReplica(newHandle)
 		gs.failExecution(ks, term, err.Error())
 		return
 	}
@@ -660,11 +665,11 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 		if oldLS, ok := gs.Local(oldHost.ID); ok {
 			oldLS.UnregisterReplica(oldKey)
 		}
-		_ = oldHost.RemoveReplica(oldKey)
+		_ = oldHost.RemoveReplica(oldHandle)
 	}
 	ls.RegisterReplica(oldKey, newReplica.HandleRequest)
 	ks.mu.Lock()
-	ks.hosts[victim] = target
+	ks.hosts[victim], ks.handles[victim] = target, newHandle
 	ks.mu.Unlock()
 
 	gs.mu.Lock()

@@ -25,8 +25,9 @@ func BenchmarkSelectHosts(b *testing.B) {
 				}
 			}
 			type kernel struct {
-				hosts []*cluster.Host
-				key   string
+				hosts   []*cluster.Host
+				handles []cluster.ReplicaHandle
+				key     string
 			}
 			p := LeastLoaded{}
 			r := rand.New(rand.NewSource(1))
@@ -39,11 +40,13 @@ func BenchmarkSelectHosts(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				k := kernel{hosts: sel, key: fmt.Sprintf("k%d", i)}
+				k := kernel{hosts: sel, handles: make([]cluster.ReplicaHandle, len(sel)), key: fmt.Sprintf("k%d", i)}
 				for j, h := range sel {
-					if err := h.PlaceReplica(fmt.Sprintf("%s/r%d", k.key, j+1), req); err != nil {
+					rh, err := h.PlaceReplica(req)
+					if err != nil {
 						b.Fatal(err)
 					}
+					k.handles[j] = rh
 				}
 				live = append(live, k)
 			}
@@ -65,7 +68,7 @@ func BenchmarkSelectHosts(b *testing.B) {
 				place(4*hosts + i)
 				old := live[head]
 				for j, h := range old.hosts {
-					if err := h.RemoveReplica(fmt.Sprintf("%s/r%d", old.key, j+1)); err != nil {
+					if err := h.RemoveReplica(old.handles[j]); err != nil {
 						b.Fatal(err)
 					}
 				}

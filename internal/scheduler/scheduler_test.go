@@ -81,7 +81,7 @@ func TestLeastLoadedHonorsWatermark(t *testing.T) {
 	// watermark 0.5 with R=3, G=8 means subscribed <= 12 GPUs per host.
 	for i := 0; i < 3; i++ {
 		for _, h := range c.Hosts() {
-			h.PlaceReplica(fmt.Sprintf("k%d/%s", i, h.ID), gpuReq(4))
+			h.PlaceReplica(gpuReq(4))
 		}
 	}
 	// Each host now has 12 subscribed GPUs = exactly at watermark for a

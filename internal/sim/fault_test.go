@@ -264,7 +264,7 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 		if sh == nt.sh {
 			continue // never the executor
 		}
-		if hostsContain(ss.hosts, sh) {
+		if hostsContain(ss.replicas, sh) {
 			victim = sh
 			break
 		}
@@ -284,11 +284,11 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 	if nt.dead {
 		t.Error("the in-flight task must survive a quorum-preserving failover")
 	}
-	for i, sh := range ss.hosts {
-		if sh == nil {
+	for i, r := range ss.replicas {
+		if r.sh == nil {
 			t.Errorf("replica slot %d not rehomed after failover", i)
 		}
-		if sh == victim {
+		if r.sh == victim {
 			t.Errorf("replica slot %d still points at the crashed host", i)
 		}
 	}
@@ -358,17 +358,19 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 	// crash a second: 1 alive of 3 is below quorum.
 	downed := false
 	var victim *simHost
-	for i, sh := range ss.hosts {
-		if sh == nt.sh || sh == nil {
+	for i, r := range ss.replicas {
+		if r.sh == nt.sh || r.sh == nil {
 			continue
 		}
 		if !downed {
-			_ = sh.h.RemoveReplica(ss.replicaKeyFor(i + 1))
-			ss.hosts[i] = nil
+			if err := r.sh.h.RemoveReplica(r.h); err != nil {
+				t.Fatal(err)
+			}
+			ss.replicas[i] = replicaRef{}
 			downed = true
 			continue
 		}
-		victim = sh
+		victim = r.sh
 		break
 	}
 	if !downed || victim == nil {

@@ -28,7 +28,7 @@ import (
 //     the scheduling or workload streams.
 //
 // Failure semantics on a host crash: resident replicas die in place
-// (their ss.hosts slot goes nil). A NotebookOS session that keeps raft
+// (their ss.replicas slot goes nil). A NotebookOS session that keeps raft
 // quorum (2*alive > R) fails over — one election charge, lost replicas
 // rehome onto the most-idle hosts — and its running task continues unless
 // the executor itself died. Quorum loss, executor death, or (for the
@@ -209,11 +209,11 @@ func (s *sim) repairSessions(sh *simHost) {
 // running task aborts through the checkpoint-restore restart path.
 func (s *sim) repairNbos(ss *simSession, sh *simHost) {
 	alive, lost := 0, 0
-	for i, rh := range ss.hosts {
-		if rh == sh {
-			ss.hosts[i] = nil
+	for i, r := range ss.replicas {
+		if r.sh == sh {
+			ss.replicas[i] = replicaRef{}
 			lost++
-		} else if rh != nil {
+		} else if r.sh != nil {
 			alive++
 		}
 	}
@@ -221,14 +221,14 @@ func (s *sim) repairNbos(ss *simSession, sh *simHost) {
 	if lost == 0 && !execDied {
 		return
 	}
-	quorum := 2*alive > len(ss.hosts)
+	quorum := 2*alive > len(ss.replicas)
 	if lost > 0 && quorum {
 		s.res.Failovers++
 		elect := s.cfg.Latencies.Election(s.frng)
 		s.res.RecoveryTime.Add(elect.Seconds())
 	}
-	for i, rh := range ss.hosts {
-		if rh == nil {
+	for i, r := range ss.replicas {
+		if r.sh == nil {
 			s.rehomeReplica(ss, i)
 		}
 	}
@@ -245,7 +245,7 @@ func (s *sim) repairNbos(ss *simSession, sh *simHost) {
 // GPUs re-commit on the most-idle host — growing the cluster when full,
 // exactly as sessionStart placed it.
 func (s *sim) repairReservation(ss *simSession, sh *simHost) {
-	if len(ss.hosts) == 0 || ss.hosts[0] != sh {
+	if len(ss.replicas) == 0 || ss.replicas[0].sh != sh {
 		return
 	}
 	if ss.cur != nil && ss.cur.runsOn(sh) {
@@ -259,7 +259,7 @@ func (s *sim) repairReservation(ss *simSession, sh *simHost) {
 		// A fresh host always fits a valid request.
 		panic(err)
 	}
-	ss.hosts[0] = nh
+	ss.replicas[0].sh = nh
 }
 
 // rehomeReplica rebuilds the dead replica in slot `slot` on the most-idle
@@ -273,7 +273,7 @@ func (s *sim) rehomeReplica(ss *simSession, slot int) bool {
 	for _, idx := range s.cfg.Route.Order(s.fed, ss.home, &s.route) {
 		bestIdle := -1
 		for _, sh := range s.members[idx].hosts {
-			if hostsContain(ss.hosts, sh) {
+			if hostsContain(ss.replicas, sh) {
 				continue
 			}
 			if idle := sh.h.IdleGPUs(); idle > bestIdle {
@@ -296,8 +296,8 @@ func (s *sim) rehomeReplica(ss *simSession, slot int) bool {
 	} else {
 		s.res.ColdStarts++
 	}
-	_ = target.h.PlaceReplica(ss.replicaKeyFor(slot+1), ss.req)
-	ss.hosts[slot] = target
+	rh, _ := target.h.PlaceReplica(ss.req)
+	ss.replicas[slot] = replicaRef{sh: target, h: rh}
 	return true
 }
 

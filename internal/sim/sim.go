@@ -5,7 +5,6 @@ import (
 	"iter"
 	"math"
 	"math/rand"
-	"strconv"
 	"strings"
 	"time"
 
@@ -308,13 +307,9 @@ type simSession struct {
 	// "<kind>/<id>/<nanos>" keys were the task path's largest allocation
 	// source on long traces.
 	holder string
-	// NotebookOS: replica hosts (a nil slot is a crash-emptied replica);
-	// Reservation: the single reserved host.
-	hosts []*simHost
-	// rkeys caches the session's replica subscription keys ("<id>/r<i>"),
-	// built once at kernel creation and reused at shutdown and on every
-	// migration.
-	rkeys        []string
+	// NotebookOS: the R replicas (a nil host is a crash-emptied slot);
+	// Reservation: the single reserved host, with no replica handle.
+	replicas     []replicaRef
 	lastExecutor int
 	queue        []trace.Task
 	running      bool
@@ -326,12 +321,11 @@ type simSession struct {
 	restarts int
 }
 
-// replicaKeyFor returns the cached key for replica i (1-based).
-func (ss *simSession) replicaKeyFor(i int) string {
-	if len(ss.rkeys) < i {
-		ss.rkeys = extendReplicaKeys(ss.rkeys, ss.src.ID, i)
-	}
-	return ss.rkeys[i-1]
+// replicaRef is one of a session's replicas: the host it is subscribed
+// on and the handle that unsubscribes it there.
+type replicaRef struct {
+	sh *simHost
+	h  cluster.ReplicaHandle
 }
 
 // simHost pairs a cluster host with its member index and the simulator's
@@ -456,47 +450,6 @@ func holderKind(p Policy) string {
 	default:
 		return "nbos"
 	}
-}
-
-// extendReplicaKeys grows keys to n entries of "<id>/r<i>" (1-based),
-// carving every new key out of one backing buffer: a kernel's R keys cost
-// two allocations (buffer + slice) instead of one per key.
-func extendReplicaKeys(keys []string, id string, n int) []string {
-	if cap(keys) < n {
-		nk := make([]string, len(keys), n)
-		copy(nk, keys)
-		keys = nk
-	}
-	start := len(keys)
-	size := 0
-	for i := start + 1; i <= n; i++ {
-		size += len(id) + 2 + decimalDigits(i)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for i := start + 1; i <= n; i++ {
-		b.WriteString(id)
-		b.WriteString("/r")
-		b.WriteString(strconv.Itoa(i))
-	}
-	blob := b.String()
-	pos := 0
-	for i := start + 1; i <= n; i++ {
-		l := len(id) + 2 + decimalDigits(i)
-		keys = append(keys, blob[pos:pos+l])
-		pos += l
-	}
-	return keys
-}
-
-// decimalDigits returns the number of base-10 digits of i > 0.
-func decimalDigits(i int) int {
-	d := 1
-	for i >= 10 {
-		i /= 10
-		d++
-	}
-	return d
 }
 
 // Run executes a single-cluster simulation and returns its result. The
@@ -969,7 +922,7 @@ func (s *sim) sessionStart(ss *simSession) {
 			// A fresh host always fits a valid request.
 			panic(err)
 		}
-		ss.hosts = []*simHost{sh}
+		ss.replicas = []replicaRef{{sh: sh}}
 	case PolicyNotebookOS:
 		s.startKernel(ss)
 	case PolicyBatch, PolicyLCP:
@@ -993,7 +946,7 @@ func (s *sim) startKernel(ss *simSession) {
 		if !s.placeSession(ss) {
 			// Only a session larger than the home member's hosts gets here:
 			// it fits some other member's hosts, but none has room for it.
-			ss.hosts = nil
+			ss.replicas = nil
 			m := s.members[ss.home]
 			s.reject(fmt.Errorf("sim: session %s requests %v, more than the host capacity %v of its home cluster %s, and no other cluster has room for it",
 				ss.src.ID, ss.req, m.spec.HostCapacity, m.spec.Name))
@@ -1013,10 +966,10 @@ func (s *sim) placeSession(ss *simSession) bool {
 		if err != nil {
 			continue
 		}
-		ss.hosts = make([]*simHost, len(hosts))
+		ss.replicas = make([]replicaRef, len(hosts))
 		for i, h := range hosts {
-			_ = h.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
-			ss.hosts[i] = s.byHost[h]
+			rh, _ := h.PlaceReplica(ss.req)
+			ss.replicas[i] = replicaRef{sh: s.byHost[h], h: rh}
 		}
 		m.res.PlacedSessions++
 		if idx == ss.home {
@@ -1046,13 +999,13 @@ func (s *sim) sessionEnd(ss *simSession) {
 	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
 	switch s.policy {
 	case PolicyReservation:
-		_ = ss.hosts[0].h.Release(ss.holder)
+		_ = ss.replicas[0].sh.h.Release(ss.holder)
 	case PolicyNotebookOS:
-		for i, sh := range ss.hosts {
-			if sh == nil {
+		for _, r := range ss.replicas {
+			if r.sh == nil {
 				continue // crash-emptied slot (faults.go)
 			}
-			_ = sh.h.RemoveReplica(ss.replicaKeyFor(i + 1))
+			_ = r.sh.h.RemoveReplica(r.h)
 		}
 		s.sampleSR()
 	}
@@ -1204,7 +1157,7 @@ func (s *sim) tryBatchTask(ss *simSession, task trace.Task, submit time.Time) bo
 // possible, otherwise migration (warm container when available) and
 // resubmission.
 func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) bool {
-	if len(ss.hosts) == 0 {
+	if len(ss.replicas) == 0 {
 		return true // rejected session: swallow its tasks
 	}
 	lat := s.cfg.Latencies
@@ -1214,14 +1167,14 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 	// Prefer the previous executor's host (the paper reuses the same
 	// executor for 89.45% of consecutive executions).
 	executor := 0
-	if ss.lastExecutor > 0 && ss.lastExecutor <= len(ss.hosts) &&
-		ss.hosts[ss.lastExecutor-1] != nil &&
-		ss.hosts[ss.lastExecutor-1].h.CanCommit(req) {
+	if ss.lastExecutor > 0 && ss.lastExecutor <= len(ss.replicas) &&
+		ss.replicas[ss.lastExecutor-1].sh != nil &&
+		ss.replicas[ss.lastExecutor-1].sh.h.CanCommit(req) {
 		executor = ss.lastExecutor
 	}
 	if executor == 0 {
-		for i, sh := range ss.hosts {
-			if sh != nil && sh.h.CanCommit(req) {
+		for i, r := range ss.replicas {
+			if r.sh != nil && r.sh.h.CanCommit(req) {
 				executor = i + 1
 				break
 			}
@@ -1230,7 +1183,7 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 	if executor == 0 {
 		return s.tryMigrate(ss, task, submit)
 	}
-	sh := ss.hosts[executor-1]
+	sh := ss.replicas[executor-1].sh
 	if err := sh.h.Commit(ss.holder, req); err != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
@@ -1284,7 +1237,7 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 	for _, idx := range s.cfg.Route.Order(s.fed, ss.home, &s.route) {
 		bestIdle := -1
 		for _, sh := range s.members[idx].hosts {
-			if hostsContain(ss.hosts, sh) || !sh.h.CanCommit(req) {
+			if hostsContain(ss.replicas, sh) || !sh.h.CanCommit(req) {
 				continue
 			}
 			if idle := sh.h.IdleGPUs(); idle > bestIdle {
@@ -1309,17 +1262,17 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 	// otherwise the replica on the fullest host.
 	victim := 0
 	worst := math.MaxInt
-	for i, sh := range ss.hosts {
-		if sh == nil {
+	for i, r := range ss.replicas {
+		if r.sh == nil {
 			victim = i
 			break
 		}
-		if idle := sh.h.IdleGPUs(); idle < worst {
+		if idle := r.sh.h.IdleGPUs(); idle < worst {
 			worst = idle
 			victim = i
 		}
 	}
-	old := ss.hosts[victim]
+	old := ss.replicas[victim].sh
 	cross := old != nil && old.member != target.member
 
 	var extra time.Duration
@@ -1348,12 +1301,11 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 		extra += s.fed.RoundTrip(old.member, target.member)
 	}
 
-	key := ss.replicaKeyFor(victim + 1)
 	if old != nil {
-		_ = old.h.RemoveReplica(key)
+		_ = old.h.RemoveReplica(ss.replicas[victim].h)
 	}
-	_ = target.h.PlaceReplica(key, ss.req)
-	ss.hosts[victim] = target
+	rh, _ := target.h.PlaceReplica(ss.req)
+	ss.replicas[victim] = replicaRef{sh: target, h: rh}
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
 	s.members[target.member].res.MigrationsIn++
@@ -1371,9 +1323,9 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 
 // hostsContain reports whether sh is one of the session's replica hosts
 // (len <= R, so a linear scan beats building a set).
-func hostsContain(hosts []*simHost, sh *simHost) bool {
-	for _, x := range hosts {
-		if x == sh {
+func hostsContain(replicas []replicaRef, sh *simHost) bool {
+	for _, r := range replicas {
+		if r.sh == sh {
 			return true
 		}
 	}

@@ -72,7 +72,7 @@ func (t *resvTask) Fire() {
 // runsOn: a reservation task always executes on the session's reserved
 // host.
 func (t *resvTask) runsOn(sh *simHost) bool {
-	return len(t.ss.hosts) > 0 && t.ss.hosts[0] == sh
+	return len(t.ss.replicas) > 0 && t.ss.replicas[0].sh == sh
 }
 
 // abort kills the machine. The session-lifetime GPU commitment stays with
