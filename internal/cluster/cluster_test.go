@@ -177,3 +177,39 @@ func TestPlaceReplicaRejectsNegative(t *testing.T) {
 		t.Fatal("negative request must fail")
 	}
 }
+
+// BenchmarkHostReplicaChurn measures one replica removal plus one
+// placement on a cluster member holding about 1k live replicas: the
+// per-replica cost of a kernel stop and start. Removals stride across the
+// live set, so they touch slots out of placement order, as sessions that
+// end in a different order than they started do.
+func BenchmarkHostReplicaChurn(b *testing.B) {
+	const live = 1024
+	c := New(3)
+	h := NewHost("churn", resources.P316xlarge())
+	if err := c.AddHost(h); err != nil {
+		b.Fatal(err)
+	}
+	r := req(1)
+	handles := make([]ReplicaHandle, live)
+	for i := range handles {
+		rh, err := h.PlaceReplica(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		handles[i] = rh
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := (i * 613) % live // 613 is coprime to live: every slot in turn
+		if err := h.RemoveReplica(handles[j]); err != nil {
+			b.Fatal(err)
+		}
+		rh, err := h.PlaceReplica(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		handles[j] = rh
+	}
+}

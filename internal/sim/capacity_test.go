@@ -212,3 +212,34 @@ func TestMalformedSessionIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionBeforeWindowIsAnError: a session that starts before the
+// simulated window is an input error naming it, on the materialized path
+// and on the Source path alike, rather than a start clamped to the window
+// start.
+func TestSessionBeforeWindowIsAnError(t *testing.T) {
+	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: 2, VRAMGB: 16}
+	session := func(id string, start time.Duration) *trace.Session {
+		return &trace.Session{ID: id, Start: t0.Add(start), End: t0.Add(2 * time.Hour), Request: req,
+			Tasks: []trace.Task{{Submit: t0.Add(30 * time.Minute), Duration: time.Minute, GPUs: 1}}}
+	}
+	tr := &trace.Trace{
+		Name: "early", Start: t0, End: t0.Add(3 * time.Hour), Granularity: time.Minute,
+		Sessions: []*trace.Session{session("early-0", -5*time.Minute), session("ok-0", 10*time.Minute)},
+	}
+	const want = "session early-0 starts at 2023-12-31T23:55:00Z, before the window start"
+	materialized := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 8, Seed: 42}
+	source := materialized
+	source.Trace, source.Source = nil, tr.AsSource()
+	for _, r := range []struct {
+		name string
+		cfg  Config
+	}{{"materialized", materialized}, {"source", source}} {
+		t.Run(r.name, func(t *testing.T) {
+			if _, err := Run(r.cfg); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want one containing %q", err, want)
+			}
+		})
+	}
+}

@@ -723,10 +723,14 @@ func (s *sim) provisionsServers() bool {
 
 // admit builds a session's state in arrival order: it checks that the
 // session is well formed (its tasks sorted by Submit within its lifetime,
-// which the arrival cursor relies on) and that some member's hosts can
-// hold the request, then assigns the workload and the round-robin home
-// member.
+// which the arrival cursor relies on), that it starts inside the
+// simulated window, and that some member's hosts can hold the request,
+// then assigns the workload and the round-robin home member.
 func (s *sim) admit(sess *trace.Session) (*simSession, error) {
+	if sess.Start.Before(s.start) {
+		return nil, fmt.Errorf("sim: session %s starts at %s, before the window start %s",
+			sess.ID, sess.Start.Format(time.RFC3339), s.start.Format(time.RFC3339))
+	}
 	if err := sess.Validate(); err != nil {
 		return nil, err
 	}

@@ -278,9 +278,13 @@ func (tr *Trace) Window(from, to time.Time) *Trace {
 }
 
 // Validate checks internal consistency: every session is well formed
-// (see Session.Validate).
+// (see Session.Validate) and starts no earlier than the trace.
 func (tr *Trace) Validate() error {
 	for _, s := range tr.Sessions {
+		if s.Start.Before(tr.Start) {
+			return fmt.Errorf("trace: session %s starts at %s, before the trace start %s",
+				s.ID, s.Start.Format(time.RFC3339), tr.Start.Format(time.RFC3339))
+		}
 		if err := s.Validate(); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -299,6 +300,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tr.Sessions[0].Tasks[0].Submit = TraceEpoch.Add(-time.Minute)
 	if tr.Validate() == nil {
 		t.Error("task outside session not caught")
+	}
+	tr = base()
+	tr.Sessions[0].Start = TraceEpoch.Add(-time.Minute)
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "session s1 starts at") {
+		t.Errorf("session before the trace start: error %v, want one naming s1", err)
 	}
 }
 
