@@ -363,7 +363,7 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 			continue
 		}
 		if !downed {
-			if err := r.sh.h.RemoveReplica(r.h); err != nil {
+			if err := r.sh.h.RemoveReplica(r.rh); err != nil {
 				t.Fatal(err)
 			}
 			ss.replicas[i] = replicaRef{}

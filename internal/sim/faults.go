@@ -297,7 +297,7 @@ func (s *sim) rehomeReplica(ss *simSession, slot int) bool {
 		s.res.ColdStarts++
 	}
 	rh, _ := target.h.PlaceReplica(ss.req)
-	ss.replicas[slot] = replicaRef{sh: target, h: rh}
+	ss.replicas[slot] = replicaRef{sh: target, rh: rh}
 	return true
 }
 

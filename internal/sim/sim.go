@@ -325,7 +325,7 @@ type simSession struct {
 // on and the handle that unsubscribes it there.
 type replicaRef struct {
 	sh *simHost
-	h  cluster.ReplicaHandle
+	rh cluster.ReplicaHandle
 }
 
 // simHost pairs a cluster host with its member index and the simulator's
@@ -973,7 +973,7 @@ func (s *sim) placeSession(ss *simSession) bool {
 		ss.replicas = make([]replicaRef, len(hosts))
 		for i, h := range hosts {
 			rh, _ := h.PlaceReplica(ss.req)
-			ss.replicas[i] = replicaRef{sh: s.byHost[h], h: rh}
+			ss.replicas[i] = replicaRef{sh: s.byHost[h], rh: rh}
 		}
 		m.res.PlacedSessions++
 		if idx == ss.home {
@@ -1009,7 +1009,7 @@ func (s *sim) sessionEnd(ss *simSession) {
 			if r.sh == nil {
 				continue // crash-emptied slot (faults.go)
 			}
-			_ = r.sh.h.RemoveReplica(r.h)
+			_ = r.sh.h.RemoveReplica(r.rh)
 		}
 		s.sampleSR()
 	}
@@ -1306,10 +1306,10 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 	}
 
 	if old != nil {
-		_ = old.h.RemoveReplica(ss.replicas[victim].h)
+		_ = old.h.RemoveReplica(ss.replicas[victim].rh)
 	}
 	rh, _ := target.h.PlaceReplica(ss.req)
-	ss.replicas[victim] = replicaRef{sh: target, h: rh}
+	ss.replicas[victim] = replicaRef{sh: target, rh: rh}
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
 	s.members[target.member].res.MigrationsIn++
